@@ -27,7 +27,6 @@ from .exactalg import (
     integer_kernel,
     is_exact_pair,
     preimage_lattice,
-    solve,
     solve_matrix,
     subgroup_presentation,
 )
@@ -546,20 +545,16 @@ def connecting_map(j: ChainMap, q: ChainMap, i: int) -> GroupMap:
     quo = q.target
     hq = homology_data(quo, i)
     hc = homology_data(c, i - 1)
-    cols = []
     lift_system = q.component_at(i).hstack(quo.pres_at(i).relation_columns())
+    lifted = solve_matrix(lift_system, hq.basis)
+    if lifted is None:
+        raise IllFormedMap(f"quotient map is not surjective at degree {i}")
+    dx = x.diff_at(i) @ lifted.take_rows(0, x.pres_at(i).generators)
     pull_system = j.component_at(i - 1).hstack(x.pres_at(i - 1).relation_columns())
-    for col in range(hq.basis.cols):
-        lifted = solve(lift_system, hq.basis.col(col))
-        if lifted is None:
-            raise IllFormedMap(f"quotient map is not surjective at degree {i}")
-        xi = lifted[: x.pres_at(i).generators]
-        dx = x.diff_at(i).apply(xi)
-        pulled = solve(pull_system, dx)
-        if pulled is None:
-            raise IllFormedMap(f"boundary does not come from the subcomplex at degree {i - 1}")
-        cols.append(pulled[: c.pres_at(i - 1).generators])
-    mat = IntegerMatrix.from_cols(cols, rows=c.pres_at(i - 1).generators)
+    pulled = solve_matrix(pull_system, dx)
+    if pulled is None:
+        raise IllFormedMap(f"boundary does not come from the subcomplex at degree {i - 1}")
+    mat = pulled.take_rows(0, c.pres_at(i - 1).generators)
     return GroupMap(hq.presentation, hc.presentation, hc.coords_of(mat))
 
 
@@ -618,13 +613,9 @@ def cofibrant_replacement(x: ChainComplex):
         bottom = q_comps[-1].hstack(-dn).hstack(-rel_below)
         ker = integer_kernel(top.vstack(bottom))
         killers = column_basis(ker.take_rows(0, prev_gens))
-        witness_system = dn.hstack(rel_below)
-        witness_cols = []
-        for jcol in range(killers.cols):
-            target_vec = q_comps[-1].apply(killers.col(jcol))
-            w = solve(witness_system, target_vec)
-            assert w is not None
-            witness_cols.append(w[: dn.cols])
+        witnesses = solve_matrix(dn.hstack(rel_below), q_comps[-1] @ killers)
+        assert witnesses is not None
+        witness_cols = witnesses.take_rows(0, dn.cols).columns()
         # cycles of X at degree n, one new free generator each
         zn = column_basis(preimage_lattice(dn, rel_below))
         count = killers.cols + zn.cols

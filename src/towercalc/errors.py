@@ -28,11 +28,15 @@ class NotCofibrant(Exception):
 
 
 class PartitionTooSmall(Exception):
-    """A prime partition misses primes occurring in the torsion scope."""
+    """A prime partition leaves part of some torsion order uncovered.
+
+    `missing` holds the uncovered factors: each order divided by its part
+    over the partition's primes.  They need not be prime (order 35 under
+    {2} | {3} leaves 35)."""
 
     def __init__(self, missing):
         self.missing = frozenset(missing)
-        super().__init__(f"partition misses torsion primes {sorted(self.missing)}")
+        super().__init__(f"partition leaves torsion factors {sorted(self.missing)} uncovered")
 
 
 class CharacterizationMismatch(Exception):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import ClassVar
 
 from .errors import IllFormedMap, StabilizationViolated
@@ -343,25 +343,6 @@ def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_cols([snf.V.col(j) for j in free], rows=m.cols)
 
 
-def solve(m: IntegerMatrix, b) -> tuple[int, ...] | None:
-    """One integer solution of m @ x = b, or None."""
-    b = tuple(b)
-    if len(b) != m.rows:
-        raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(m)
-    ub = snf.U.apply(b)
-    lim = min(m.rows, m.cols)
-    y = [0] * m.cols
-    for i in range(m.rows):
-        if i < lim and snf.d[i]:
-            if ub[i] % snf.d[i]:
-                return None
-            y[i] = ub[i] // snf.d[i]
-        elif ub[i]:
-            return None
-    return snf.V.apply(y)
-
-
 def solve_matrix(m: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     """X with m @ X = b, or None.  Shares one SNF across all columns."""
     if b.rows != m.rows:
@@ -372,18 +353,14 @@ def solve_matrix(m: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     for j in range(b.cols):
         ub = snf.U.apply(b.col(j))
         y = [0] * m.cols
-        ok = True
         for i in range(m.rows):
-            if i < lim and snf.d[i]:
-                if ub[i] % snf.d[i]:
-                    ok = False
-                    break
-                y[i] = ub[i] // snf.d[i]
+            di = snf.d[i] if i < lim else 0
+            if di:
+                y[i], rem = divmod(ub[i], di)
+                if rem:
+                    return None
             elif ub[i]:
-                ok = False
-                break
-        if not ok:
-            return None
+                return None
         xcols.append(snf.V.apply(y))
     return IntegerMatrix.from_cols(xcols, rows=m.cols)
 
@@ -426,48 +403,38 @@ def lattice_eq(a: IntegerMatrix, b: IntegerMatrix) -> bool:
 # abelian groups in invariant-factor normal form
 
 
-def _factor(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _invariant_factors(orders) -> tuple[int, ...]:
     """Normalize a list of cyclic orders into an invariant-factor chain.
 
-    Per prime, sort exponents descending; the k-th invariant factor (from the
-    largest) multiplies the k-th largest exponent of every prime.  Avoids SNF
-    on purpose so the closed-form route stays independent of it.
+    Pairwise exchange Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): after pass i,
+    slot i holds the gcd of slots i.. and divides every later slot, so the
+    slots end as a divisibility chain.  Nothing is factored, and SNF is
+    avoided on purpose so the closed-form route stays independent of it.
     """
-    per_prime: dict[int, list[int]] = {}
-    for n in orders:
-        n = abs(n)
-        if n in (0, 1):
-            continue
-        for p, e in _factor(n).items():
-            per_prime.setdefault(p, []).append(e)
-    if not per_prime:
-        return ()
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    depth = max(len(e) for e in per_prime.values())
-    factors = []
-    for k in range(depth):
-        t = 1
-        for p, exps in per_prime.items():
-            if k < len(exps):
-                t *= p ** exps[k]
-        factors.append(t)
-    factors.reverse()  # chain t_1 | t_2 | ... | t_depth
-    return tuple(factors)
+    chain = [abs(n) for n in orders if abs(n) > 1]
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
+            g = gcd(a, b)
+            a, chain[j] = g, a // g * b
+        chain[i] = a
+    return tuple(t for t in chain if t > 1)
+
+
+def prime_part(t: int, primes) -> int:
+    """The J-part of t for J = `primes`: its largest divisor built from
+    primes in J.  Dividing out gcds with the product of J finds it without
+    factoring t."""
+    t = abs(t)
+    if t == 0:
+        raise ValueError("the zero order has no prime part")
+    part = 1
+    g = gcd(t, prod(primes))
+    while g > 1:
+        t //= g
+        part *= g
+        g = gcd(t, g)
+    return part
 
 
 @dataclass(frozen=True)

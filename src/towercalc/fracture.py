@@ -3,8 +3,10 @@ the localized pieces back together.
 
 A finitely generated group is determined by its rank and invariant factors,
 and inverting the primes outside J simply filters each invariant factor down
-to its J-part (rationalizing erases torsion altogether).  That makes every
-check in this module an exact computation: the short exact sequence
+to its J-part (rationalizing erases torsion altogether).  Localization finds
+that part by dividing out the primes of J and never factors an order.  That
+makes every check in this module an exact computation: the short exact
+sequence
 
     0 -> A -> A_J + A_K -> A_Q -> 0
 
@@ -47,6 +49,7 @@ from .exactalg import (
     Presentation,
     is_exact_pair,
     kernel_image_cokernel,
+    prime_part,
     pullback_group,
 )
 from .sections import CospanSection, surjective_in_positive_degrees
@@ -55,44 +58,40 @@ from .sections import CospanSection, surjective_in_positive_degrees
 # primes and partitions
 
 
+# Deterministic Miller-Rabin: the first thirteen primes as bases decide
+# primality for every n below this bound (Sorenson and Webster, 2015).
+PRIME_CERTIFY_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    if n >= PRIME_CERTIFY_BOUND:
+        raise ValueError(f"{n} is too large to certify as prime "
+                         f"(primes must be below {PRIME_CERTIFY_BOUND})")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n in _WITNESSES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
-
-
-def prime_factors(n: int) -> dict[int, int]:
-    """p -> multiplicity for n >= 1."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def torsion_scope(groups) -> frozenset[int]:
-    """All primes dividing any invariant factor of the given groups."""
-    scope = set()
-    for g in groups:
-        for t in g.torsion:
-            scope.update(prime_factors(t))
-    return frozenset(scope)
 
 
 @dataclass(frozen=True)
 class PrimePartition:
-    """Two disjoint finite sets of primes meant to cover a torsion scope."""
+    """Two disjoint finite sets of primes meant to cover some torsion."""
 
     j: frozenset[int]
     k: frozenset[int]
@@ -106,23 +105,16 @@ class PrimePartition:
         if self.j & self.k:
             raise ValueError(f"sides overlap in {sorted(self.j & self.k)}")
 
-    def require_covers(self, scope) -> None:
-        missing = frozenset(scope) - self.j - self.k
+    def require_covers(self, orders) -> None:
+        """Every prime of every torsion order lies in J or K."""
+        covered = self.j | self.k
+        missing = {t // prime_part(t, covered) for t in orders} - {1}
         if missing:
             raise PartitionTooSmall(missing)
 
 
 # ---------------------------------------------------------------------------
 # localized groups
-
-
-def _part_supported_on(t: int, primes: frozenset[int]) -> int:
-    """The largest divisor of t using only the given primes."""
-    out = 1
-    for p, e in prime_factors(t).items():
-        if p in primes:
-            out *= p ** e
-    return out
 
 
 @dataclass(frozen=True)
@@ -136,20 +128,12 @@ class LocalizedGroup:
     torsion: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
+        self.group_shadow()  # rank and invariant-factor chain
         if self.primes is None and self.torsion:
             raise ValueError("a rational group has no torsion")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if a < 2 or b % a:
-                raise ValueError("torsion must be normalized invariant factors")
-        if self.torsion and self.torsion[0] < 2:
-            raise ValueError("torsion must be normalized invariant factors")
-        if self.primes is not None:
-            for t in self.torsion:
-                stray = set(prime_factors(t)) - self.primes
-                if stray:
-                    raise ValueError(f"torsion primes {sorted(stray)} outside {sorted(self.primes)}")
+        for t in self.torsion:
+            if prime_part(t, self.primes) != t:
+                raise ValueError(f"torsion Z/{t} has primes outside {sorted(self.primes)}")
 
     @property
     def ring(self) -> str:
@@ -170,7 +154,7 @@ def localize_group(g: FpAbelianGroup, primes: frozenset[int] | None) -> Localize
     if primes is None:
         return LocalizedGroup(None, g.rank, ())
     primes = frozenset(primes)
-    parts = tuple(u for t in g.torsion if (u := _part_supported_on(t, primes)) > 1)
+    parts = tuple(u for t in g.torsion if (u := prime_part(t, primes)) > 1)
     return LocalizedGroup(primes, g.rank, parts)
 
 
@@ -183,27 +167,16 @@ def localize_homology(x: ChainComplex, primes: frozenset[int] | None) -> dict[in
 # the algebraic fracture square
 
 
-def _canonical_presentation(rank: int, torsion: tuple[int, ...]) -> Presentation:
-    """Free generators first, then one generator of each invariant-factor
-    order."""
-    if not torsion:
-        return Presentation.free(rank)
-    gens = rank + len(torsion)
-    rows = [[0] * rank + [t if i == j else 0 for j in range(len(torsion))]
-            for i, t in enumerate(torsion)]
-    return Presentation(gens, IntegerMatrix.from_rows(rows))
-
-
 def _local_parts(torsion, primes):
     """(order, original index) pairs of the surviving localized factors."""
     return [(u, i) for i, t in enumerate(torsion)
-            if (u := _part_supported_on(t, primes)) > 1]
+            if (u := prime_part(t, primes)) > 1]
 
 
 def algebraic_fracture_check(a: FpAbelianGroup, p: PrimePartition) -> Certificate:
     """Exactness of 0 -> A -> A_J + A_K -> A_Q -> 0 plus reassembly of A as
     the pullback of its localizations over the rationalization."""
-    p.require_covers(torsion_scope([a]))
+    p.require_covers(a.torsion)
     aj = localize_group(a, p.j)
     ak = localize_group(a, p.k)
 
@@ -217,11 +190,11 @@ def algebraic_fracture_check(a: FpAbelianGroup, p: PrimePartition) -> Certificat
 
     # the sequence itself, as honest maps between presentations
     r, tors = a.rank, a.torsion
-    pres_a = _canonical_presentation(r, tors)
+    pres_a = Presentation.of_group(a)
     j_parts = _local_parts(tors, p.j)
     k_parts = _local_parts(tors, p.k)
-    pres_j = _canonical_presentation(r, tuple(u for u, _ in j_parts))
-    pres_k = _canonical_presentation(r, tuple(u for u, _ in k_parts))
+    pres_j = Presentation.of_group(aj.group_shadow())
+    pres_k = Presentation.of_group(ak.group_shadow())
     pres_q = Presentation.free(r)
     middle = pres_j.direct_sum(pres_k)
 
@@ -274,7 +247,7 @@ def arithmetic_square_check(x: ChainComplex, p: PrimePartition) -> Certificate:
     short exactness splices to a long exact sequence with zero connecting
     maps."""
     profile = homology(x)
-    p.require_covers(torsion_scope(g for _, g in profile.entries))
+    p.require_covers(t for _, g in profile.entries for t in g.torsion)
     per_degree = [bundle("degree_fracture", [algebraic_fracture_check(g, p)], degree=d)
                   for d, g in profile.entries]
     broken = [c.witness["degree"] for c in per_degree if not c.passed]
@@ -316,7 +289,7 @@ def fracture_cospan(x: ChainComplex, p: PrimePartition) -> CospanSection:
     rationalization, multiplication blocks carry the local torsion and die
     there."""
     profile = homology(x)
-    p.require_covers(torsion_scope(g for _, g in profile.entries))
+    p.require_covers(t for _, g in profile.entries for t in g.torsion)
 
     def leg(primes):
         acc = ChainMap.identity(zero_complex())
@@ -356,7 +329,7 @@ def cospan_model_check(s: CospanSection) -> Certificate:
         bad = None
         for d in cx.span():
             g = homology_group(cx, d)
-            if torsion_scope([g]) - primes:
+            if any(prime_part(t, primes) != t for t in g.torsion):
                 bad = (d, g)
                 break
         checks.append(passed("local_model", vertex=name) if bad is None else

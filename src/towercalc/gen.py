@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import ChainComplex, ChainMap, direct_sum, disk_complex, moore_complex, sphere_complex, zero_complex
-from .exactalg import IntegerMatrix
-from .fracture import prime_factors
+from .exactalg import IntegerMatrix, prime_part
 from .serialize import complex_to_doc
 
 _HARD_SPAN = 8
@@ -47,9 +46,8 @@ class GenProfile:
             raise ValueError(f"torsion primes must lie in {sorted(_HARD_PRIMES)}")
 
     def torsion_orders(self) -> list[int]:
-        allowed = set(self.primes)
         return [t for t in range(2, self.max_entry + 1)
-                if set(prime_factors(t)) <= allowed]
+                if prime_part(t, self.primes) == t]
 
 
 def _signed_permutation(rng: random.Random, n: int) -> IntegerMatrix:

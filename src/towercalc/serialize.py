@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .complexes import ChainComplex, ChainMap
 from .errors import IllFormedMap, ParseError, StabilizationViolated, ValidationError
@@ -37,7 +38,11 @@ def _count(value, where: str) -> int:
 def _entry(value, where: str) -> int:
     if not isinstance(value, str) or not _INT.match(value):
         raise ParseError(where, f"matrix entries are decimal strings, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(where, f"entry has {len(value.lstrip('-'))} digits, over the "
+                                f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
 
 
 def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 from towercalc.cli import main
 from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_complex, zero_complex
 from towercalc.complexes import direct_sum_map
-from towercalc.fracture import PrimePartition, fracture_cospan
+from towercalc.fracture import PRIME_CERTIFY_BOUND, PrimePartition, fracture_cospan
 from towercalc.sections import CospanSection
 from towercalc.serialize import save
 
@@ -94,6 +95,44 @@ def test_unusable_inputs_exit_two(capsys):
     # tower command fed a plain complex
     assert main(["tower", MOORE]) == 2
     capsys.readouterr()
+
+
+def write_moore(tmp_path, entry: str) -> str:
+    path = tmp_path / "moore.json"
+    path.write_text(json.dumps({
+        "name": "moore", "min_degree": 0,
+        "degrees": [{"generators": 1, "relations": []},
+                    {"generators": 1, "relations": []}],
+        "differentials": [[[entry]]]}))
+    return str(path)
+
+
+def test_oversized_entry_exits_two_naming_its_path(capsys, tmp_path):
+    path = write_moore(tmp_path, "7" * 5000)
+    assert main(["homology", path]) == 2
+    assert f"{path}.differentials[0][0][0]" in capsys.readouterr().err
+
+
+def test_homology_of_a_4000_digit_moore_document_is_fast(capsys, tmp_path):
+    entry = "1" + "0" * 3998 + "7"
+    path = write_moore(tmp_path, entry)
+    started = time.perf_counter()
+    code, out = run(capsys, "homology", path)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert f"value=Z/{entry}" in out
+
+
+def test_primes_past_the_certified_bound_exit_two(capsys, tmp_path):
+    too_big = str(PRIME_CERTIFY_BOUND + 2)
+    assert main(["fracture", MOORE, "--primes-j", "2,3", "--primes-k", too_big]) == 2
+    assert str(PRIME_CERTIFY_BOUND) in capsys.readouterr().err
+    doc = json.loads(Path(COSPAN).read_text())
+    doc["tags"][2] = f"local:3,{too_big}"
+    cospan = tmp_path / "cospan.json"
+    cospan.write_text(json.dumps(doc))
+    assert main(["section", "check-cospan", str(cospan)]) == 2
+    assert str(PRIME_CERTIFY_BOUND) in capsys.readouterr().err
 
 
 def test_verdict_and_exit_code_agree(capsys):

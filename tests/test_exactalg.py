@@ -33,9 +33,9 @@ from towercalc.exactalg import (
     lattice_eq,
     mittag_leffler_diagnostic,
     preimage_lattice,
+    prime_part,
     pullback_group,
     smith_normal_form,
-    solve,
     solve_matrix,
     subgroup_presentation,
     tensor_group,
@@ -292,19 +292,19 @@ def test_integer_kernel_spans_the_kernel(rows):
 def test_solve_recovers_consistent_systems(rows, xs):
     m = IntegerMatrix.from_rows(rows)
     x = tuple(xs[: m.cols])
-    b = m.apply(x)
-    got = solve(m, b)
+    b = IntegerMatrix.from_cols([m.apply(x)], rows=m.rows)
+    got = solve_matrix(m, b)
     assert got is not None
-    assert m.apply(got) == b
+    assert m @ got == b
 
 
 def test_solve_detects_inconsistency():
     m = IntegerMatrix.from_rows([[2]])
-    assert solve(m, (1,)) is None
-    assert solve(m, (6,)) == (3,)
+    assert solve_matrix(m, IntegerMatrix.from_rows([[1]])) is None
+    assert solve_matrix(m, IntegerMatrix.from_rows([[6]])) == IntegerMatrix.from_rows([[3]])
     # rank-deficient: b outside the column space
     m2 = IntegerMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve(m2, (1, 2)) is None
+    assert solve_matrix(m2, IntegerMatrix.from_rows([[1], [2]])) is None
 
 
 @given(matrices())
@@ -348,6 +348,34 @@ def test_from_orders_normalizes():
     assert FpAbelianGroup.from_orders(0, [6, 4]) == FpAbelianGroup(0, (2, 12))
     assert str(FpAbelianGroup(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
     assert str(FpAbelianGroup.zero()) == "0"
+
+
+# orders sharing large primes, so a factoring route would have to find them
+large_prime_orders = st.builds(
+    lambda a, b, c: 1000003 ** a * 1000033 ** b * c,
+    st.integers(0, 2), st.integers(0, 2), st.integers(1, 12))
+
+
+@given(st.lists(st.one_of(st.integers(1, 60), large_prime_orders), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_from_orders_matches_the_smith_form_of_the_diagonal(orders):
+    diag = IntegerMatrix.from_rows(
+        [[t if i == j else 0 for j in range(len(orders))] for i, t in enumerate(orders)])
+    expected = tuple(d for d in smith_normal_form(diag).d if d > 1)
+    assert FpAbelianGroup.from_orders(0, orders).torsion == expected
+
+
+def test_prime_part():
+    assert prime_part(360, {2}) == 8
+    assert prime_part(360, {2, 3}) == 72
+    assert prime_part(360, {2, 3, 5}) == 360
+    assert prime_part(360, {7}) == 1
+    assert prime_part(1, {2, 3}) == 1
+    assert prime_part(-12, {3}) == 3
+    big = 1000003 ** 3 * 1000033 * 2 ** 5
+    assert prime_part(big, {1000003, 2}) == 1000003 ** 3 * 2 ** 5
+    with pytest.raises(ValueError):
+        prime_part(0, {2})
 
 
 def test_invariant_chain_is_enforced():

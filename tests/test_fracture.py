@@ -2,6 +2,8 @@
 localized cospan model checks.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from towercalc.complexes import (
     direct_sum,
     direct_sum_map,
     disk_complex,
+    homology,
     moore_complex,
     sphere_complex,
     zero_complex,
@@ -28,6 +31,7 @@ from towercalc.exactalg import (
     tensor_group,
 )
 from towercalc.fracture import (
+    PRIME_CERTIFY_BOUND,
     LocalizedGroup,
     PrimePartition,
     algebraic_fracture_check,
@@ -36,8 +40,6 @@ from towercalc.fracture import (
     fracture_cospan,
     localize_group,
     localize_homology,
-    prime_factors,
-    torsion_scope,
 )
 from towercalc.sections import CospanSection
 
@@ -301,14 +303,57 @@ def test_built_cospans_always_check_out(pieces, split):
 
 
 # ---------------------------------------------------------------------------
-# small helpers
+# large primes: localization divides, primality is Miller-Rabin
 
 
-def test_prime_factors():
-    assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
-    assert prime_factors(1) == {}
+def within_a_second(fn):
+    started = time.perf_counter()
+    result = fn()
+    assert time.perf_counter() - started < 1.0
+    return result
 
 
-def test_torsion_scope():
-    groups = [FpAbelianGroup(1, (4, 12)), FpAbelianGroup(0, (5,))]
-    assert torsion_scope(groups) == frozenset({2, 3, 5})
+P9, Q9 = 1000000007, 998244353
+
+
+def test_partition_names_a_composite_uncovered_factor():
+    with pytest.raises(PartitionTooSmall) as exc:
+        PrimePartition({2}, {3}).require_covers([35])
+    assert exc.value.missing == frozenset({35})
+    assert "35" in str(exc.value)
+
+
+def test_partition_certifies_large_primes_quickly():
+    p19 = 1000000000000000003
+    assert within_a_second(lambda: PrimePartition({p19}, ())).j == frozenset({p19})
+    with pytest.raises(ValueError, match="not prime"):
+        PrimePartition({3215031751}, ())  # strong pseudoprime to base 2
+    with pytest.raises(ValueError, match=str(PRIME_CERTIFY_BOUND)):
+        PrimePartition({PRIME_CERTIFY_BOUND + 2}, ())
+
+
+def test_localized_group_rejects_bad_torsion():
+    with pytest.raises(ValueError):
+        LocalizedGroup(frozenset({2}), 0, (6,))
+    with pytest.raises(ValueError):
+        LocalizedGroup(frozenset({2}), 0, (4, 2))
+    with pytest.raises(ValueError):
+        LocalizedGroup(frozenset({2}), -1, ())
+
+
+def test_homology_of_a_large_semiprime_moore_complex_is_fast():
+    profile = within_a_second(lambda: homology(moore_complex(P9 * Q9)))
+    assert profile.at(0) == FpAbelianGroup.cyclic(P9 * Q9)
+
+
+def test_arithmetic_square_over_large_primes_is_fast():
+    x = moore_complex(P9 * Q9)
+    cert = within_a_second(lambda: arithmetic_square_check(x, PrimePartition({P9}, {Q9})))
+    assert cert.passed, cert.failures()
+
+
+def test_localizing_a_forty_digit_order_is_fast():
+    t = 2 ** 40 * P9 * (10 ** 18 + 9)  # the last factor is prime to 2 and P9
+    assert len(str(t)) == 40
+    got = within_a_second(lambda: localize_group(FpAbelianGroup.cyclic(t), frozenset({2, P9})))
+    assert got.torsion == (2 ** 40 * P9,)

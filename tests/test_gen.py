@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from towercalc.complexes import homology
-from towercalc.fracture import torsion_scope
+from towercalc.exactalg import prime_part
 from towercalc.gen import GenProfile, generate, random_complex
 from towercalc.serialize import complex_from_doc, document_text
 
@@ -41,7 +41,7 @@ def test_generated_complexes_respect_their_bounds():
         assert all(abs(e) <= profile.max_entry
                    for d in x.differentials for e in d.entries)
         groups = [homology(x).at(i) for i in x.span()]
-        assert torsion_scope(groups) <= set(profile.primes)
+        assert all(prime_part(t, profile.primes) == t for g in groups for t in g.torsion)
 
 
 def test_homology_can_be_pinned_to_chosen_degrees():

@@ -1,5 +1,6 @@
 """Document round-trips and rejection paths for the flat-file formats."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,22 @@ def test_matrix_locations_name_the_entry():
     with pytest.raises(ParseError) as exc:
         matrix_from_doc([["1", "x"]], 1, 2, "differentials[0]")
     assert exc.value.location == "differentials[0][0][1]"
+
+
+def moore_doc(entry: str) -> dict:
+    return {"name": "moore", "min_degree": 0,
+            "degrees": [{"generators": 1, "relations": []},
+                        {"generators": 1, "relations": []}],
+            "differentials": [[[entry]]]}
+
+
+def test_oversized_entries_are_located_parse_errors(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(moore_doc("7" * 5000)))
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert exc.value.location == f"{path}.differentials[0][0][0]"
+    assert "5000 digits" in str(exc.value)
 
 
 def test_missing_keys_are_parse_errors():
