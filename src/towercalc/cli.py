@@ -130,10 +130,17 @@ def _load_cospan(path: str) -> CospanSection:
 
 
 def _parse_primes(raw: str, flag: str) -> set:
-    try:
-        return {int(p) for p in raw.split(",") if p.strip()}
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated list of primes") from None
+    primes = set()
+    for p in filter(None, (p.strip() for p in raw.split(","))):
+        try:
+            primes.add(int(p))
+        except ValueError:
+            digits, limit = p.lstrip("+-"), sys.get_int_max_str_digits()
+            if digits.isdecimal() and 0 < limit < len(digits):
+                raise ValueError(f"{flag} entry has {len(digits)} digits, over the "
+                                 f"interpreter's limit of {limit}") from None
+            raise ValueError(f"{flag} expects a comma-separated list of primes") from None
+    return primes
 
 
 def _homology_listing(x: ChainComplex, name: str) -> Certificate:

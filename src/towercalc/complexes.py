@@ -7,8 +7,9 @@ zero.  Construction validates everything that can silently poison downstream
 certificates: differential shapes, well-definedness modulo relations, and
 d^2 = 0 modulo relations.
 
-Homology is computed once per (complex, degree) pair and cached; all values
-are immutable, so the cache is safe and cheap.
+Homology data is cached per (complex, degree) pair, keeping the
+CACHE_MAXSIZE most recently used pairs; all values are immutable, so an
+evicted pair is simply recomputed to an equal value.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from functools import lru_cache
 from .certificates import Certificate, bundle, failed, passed
 from .errors import IllFormedMap, TorsionSource, ValidationError
 from .exactalg import (
+    CACHE_MAXSIZE,
     FpAbelianGroup,
     GroupMap,
     IntegerMatrix,
@@ -242,7 +244,7 @@ class HomologyData:
         return got
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def homology_data(x: ChainComplex, i: int) -> HomologyData:
     pres = x.pres_at(i)
     below = x.pres_at(i - 1)

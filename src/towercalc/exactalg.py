@@ -23,6 +23,10 @@ from typing import ClassVar
 
 from .errors import IllFormedMap, StabilizationViolated
 
+# Entries kept by each normal-form cache (here and in complexes).  Unbounded,
+# the caches hold every matrix and complex a long run has seen.
+CACHE_MAXSIZE = 1024
+
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -149,7 +153,7 @@ class IntegerMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def max_abs(self) -> int:
         return max((abs(x) for x in self.entries), default=0)
@@ -223,7 +227,7 @@ class SnfDecomposition:
         return sum(1 for x in self.d if x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
     """Diagonalize over Z, tracking the unimodular row/column transforms.
 
@@ -231,7 +235,8 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
     gcd-reduces its row and column; a divisibility fix-up folds any
     non-divisible remainder back into the pivot position, so the pivot
     magnitude strictly decreases and the invariant-factor chain comes out of
-    the loop already ordered.
+    the loop already ordered.  Results are cached, keeping the
+    CACHE_MAXSIZE most recently used matrices.
     """
     nr, nc = m.rows, m.cols
     a = [list(m.row(i)) for i in range(nr)]
@@ -392,6 +397,12 @@ def column_basis(m: IntegerMatrix) -> IntegerMatrix:
 
 def lattice_contains(gens: IntegerMatrix, vectors: IntegerMatrix) -> bool:
     """Is every column of `vectors` in the column lattice of `gens`?"""
+    if vectors.rows != gens.rows:
+        raise ValueError("rhs rows mismatch")
+    if vectors.is_zero:
+        return True
+    if gens.is_zero:
+        return False
     return solve_matrix(gens, vectors) is not None
 
 
@@ -566,6 +577,8 @@ class Presentation:
         return Presentation(n, IntegerMatrix.from_rows(rows) if rows else IntegerMatrix.zero(0, n))
 
     def relation_columns(self) -> IntegerMatrix:
+        if not self.relations.rows:
+            return IntegerMatrix.zero(self.generators, 0)
         return self.relations.transpose()
 
     def group(self) -> FpAbelianGroup:

@@ -17,14 +17,13 @@ from .complexes import (
     cotuple,
     degreewise_kernel,
     direct_sum_map,
-    disk_complex,
     homology,
     homology_group,
     is_quasi_iso,
     zero_complex,
 )
 from .errors import NotCofibrant
-from .exactalg import IntegerMatrix
+from .exactalg import IntegerMatrix, Presentation, block_diag
 from .sections import CospanSection
 from .trunc import connective_cover, is_Pn_weq, layer, postnikov_section
 
@@ -34,12 +33,25 @@ def _require_free(x: ChainComplex) -> None:
         raise NotCofibrant("expected a degreewise free complex")
 
 
-def _disk_cover(p: ChainComplex, i: int, g: int) -> ChainMap:
-    """Map a disk in degree i onto the g-th generator of p (and its boundary)."""
-    gens = p.pres_at(i).generators
-    top = IntegerMatrix.from_cols([[1 if r == g else 0 for r in range(gens)]], rows=gens)
-    bottom = p.diff_at(i) @ top
-    return ChainMap(disk_complex(i), p, (bottom, top))
+def _disk_cover(p: ChainComplex) -> ChainMap:
+    """Map a sum of disks, one per generator of p, onto p.
+
+    Degree n of the sum holds the tops of the degree-n disks, then the
+    bottoms of the degree-(n+1) disks; each top goes to its generator and
+    each bottom to that generator's boundary, so the component is
+    [I | d_{n+1}].  The order is that of summing the disks one at a time,
+    by degree and then generator.
+    """
+    lo = p.min_deg - 1
+    gens = {n: p.pres_at(n).generators for n in range(lo, p.top_deg + 2)}
+    disks = ChainComplex(
+        lo,
+        tuple(Presentation.free(gens[n] + gens[n + 1]) for n in range(lo, p.top_deg + 1)),
+        tuple(block_diag(IntegerMatrix.zero(gens[n - 1], 0), IntegerMatrix.identity(gens[n]),
+                         IntegerMatrix.zero(0, gens[n + 1]))
+              for n in range(lo + 1, p.top_deg + 1)))
+    return ChainMap(disks, p, tuple(IntegerMatrix.identity(gens[n]).hstack(p.diff_at(n + 1))
+                                    for n in disks.span()))
 
 
 def hofib_factorization(x: ChainComplex, k: int):
@@ -51,13 +63,9 @@ def hofib_factorization(x: ChainComplex, k: int):
     """
     _require_free(x)
     p, q = postnikov_section(x, k)
-    incl = ChainMap.identity(x)
-    proj = q
-    for i in p.span():
-        for g in range(p.pres_at(i).generators):
-            incl = direct_sum_map(incl, ChainMap.zero_map(zero_complex(), disk_complex(i)))
-            proj = cotuple(proj, _disk_cover(p, i, g))
-    return incl, proj
+    cover = _disk_cover(p)
+    incl = direct_sum_map(ChainMap.identity(x), ChainMap.zero_map(zero_complex(), cover.source))
+    return incl, cotuple(q, cover)
 
 
 def build_hofib_section(x: ChainComplex, k: int) -> CospanSection:
@@ -72,11 +80,8 @@ def build_hofib_section(x: ChainComplex, k: int) -> CospanSection:
 def fibrant_adjustment(s: CospanSection) -> CospanSection:
     """Make both legs surjective without moving any vertex's homotopy type
     by summing one acyclic disk block per generator of the middle into each."""
-    left, right = s.left, s.right
-    for i in s.x0.span():
-        for g in range(s.x0.pres_at(i).generators):
-            left = cotuple(left, _disk_cover(s.x0, i, g))
-            right = cotuple(right, _disk_cover(s.x0, i, g))
+    cover = _disk_cover(s.x0)
+    left, right = cotuple(s.left, cover), cotuple(s.right, cover)
     return CospanSection(left.source, s.x0, right.source, left, right, tags=s.tags)
 
 

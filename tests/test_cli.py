@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -111,6 +112,13 @@ def test_oversized_entry_exits_two_naming_its_path(capsys, tmp_path):
     path = write_moore(tmp_path, "7" * 5000)
     assert main(["homology", path]) == 2
     assert f"{path}.differentials[0][0][0]" in capsys.readouterr().err
+
+
+def test_oversized_prime_flag_exits_two_naming_the_digit_limit(capsys):
+    assert main(["fracture", MOORE, "--primes-j", "7" * 5000, "--primes-k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--primes-j entry has 5000 digits" in err
+    assert f"limit of {sys.get_int_max_str_digits()}" in err
 
 
 def test_homology_of_a_4000_digit_moore_document_is_fast(capsys, tmp_path):

@@ -25,6 +25,7 @@ from towercalc.complexes import (
     disk_complex,
     hom_complex,
     homology,
+    homology_data,
     homology_group,
     induced_map,
     is_quasi_iso,
@@ -37,6 +38,7 @@ from towercalc.complexes import (
 )
 from towercalc.errors import IllFormedMap, TorsionSource, ValidationError
 from towercalc.exactalg import (
+    CACHE_MAXSIZE,
     FpAbelianGroup,
     GroupMap,
     IntegerMatrix,
@@ -44,6 +46,7 @@ from towercalc.exactalg import (
     ext_group,
     hom_group,
     kernel_image_cokernel,
+    smith_normal_form,
 )
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,20 @@ def test_homology_of_moore_complex():
 def test_homology_of_elementary_sums(pieces):
     cx, expected = build_sum(pieces)
     assert homology(cx) == expected
+
+
+def test_normal_form_caches_are_bounded():
+    assert smith_normal_form.cache_info().maxsize == CACHE_MAXSIZE
+    assert homology_data.cache_info().maxsize == CACHE_MAXSIZE
+    first = moore_complex(2, 0)
+    want = homology_data(first, 0)
+    for t in range(3, CACHE_MAXSIZE + 50):
+        homology_data(moore_complex(t, 0), 0)
+    assert homology_data.cache_info().currsize <= CACHE_MAXSIZE
+    assert smith_normal_form.cache_info().currsize <= CACHE_MAXSIZE
+    misses = homology_data.cache_info().misses
+    assert homology_data(first, 0) == want
+    assert homology_data.cache_info().misses == misses + 1  # it had been evicted
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,38 @@ def test_preimage_lattice_defining_property(rows, v):
     assert inside == image_ok
 
 
+@st.composite
+def lattice_problems(draw):
+    """A presentation (often free, sometimes with all-zero relations) and
+    columns to test against its relation lattice (often all zero)."""
+    gens = draw(st.integers(0, 4))
+    count = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    entries = st.just(0) if draw(st.booleans()) else small_entries
+    rows = draw(st.lists(st.lists(entries, min_size=gens, max_size=gens),
+                         min_size=count, max_size=count))
+    relations = IntegerMatrix(count, gens, tuple(e for r in rows for e in r))
+    entries = st.just(0) if draw(st.booleans()) else small_entries
+    cols = draw(st.lists(st.lists(entries, min_size=gens, max_size=gens), max_size=3))
+    return Presentation(gens, relations), IntegerMatrix.from_cols(cols, rows=gens)
+
+
+@given(lattice_problems())
+@settings(max_examples=200)
+def test_lattice_shortcuts_agree_with_the_solver(problem):
+    pres, vectors = problem
+    lattice = pres.relations.transpose()
+    solvable = solve_matrix(lattice, vectors) is not None
+    assert lattice_contains(lattice, vectors) == solvable
+    assert pres.contains_in_relations(vectors) == solvable
+
+
+def test_lattice_membership_checks_rows_before_shortcuts():
+    with pytest.raises(ValueError):
+        lattice_contains(IntegerMatrix.zero(2, 0), IntegerMatrix.zero(3, 1))
+    with pytest.raises(ValueError):
+        Presentation.free(2).contains_in_relations(IntegerMatrix.zero(3, 1))
+
+
 def test_solve_matrix_columnwise():
     m = IntegerMatrix.from_rows([[2, 0], [0, 3]])
     b = IntegerMatrix.from_rows([[4, 0], [0, 9]])

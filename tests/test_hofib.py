@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from towercalc.complexes import (
     ChainComplex,
+    ChainMap,
+    cotuple,
     degreewise_kernel,
     direct_sum,
+    direct_sum_map,
     disk_complex,
     homology,
     homology_group,
@@ -29,8 +32,8 @@ from towercalc.hofib import (
     hofib_factorization,
     layer_equivalence_check,
 )
-from towercalc.sections import surjective_in_positive_degrees
-from towercalc.trunc import connective_cover
+from towercalc.sections import CospanSection, surjective_in_positive_degrees
+from towercalc.trunc import connective_cover, postnikov_section
 
 # ---------------------------------------------------------------------------
 # builders
@@ -54,6 +57,35 @@ def build_sum(pieces):
 free_piece_st = st.tuples(st.integers(0, 2), st.integers(-1, 3), st.integers(2, 7))
 free_pieces_st = st.lists(free_piece_st, min_size=1, max_size=3)
 cut_st = st.integers(-2, 4)
+
+
+# ---------------------------------------------------------------------------
+# reference: cover one generator at a time, summing one disk per step
+
+
+def _one_disk_cover(p, i, g):
+    gens = p.pres_at(i).generators
+    top = IntegerMatrix.from_cols([[1 if r == g else 0 for r in range(gens)]], rows=gens)
+    return ChainMap(disk_complex(i), p, (p.diff_at(i) @ top, top))
+
+
+def folded_factorization(x, k):
+    p, q = postnikov_section(x, k)
+    incl, proj = ChainMap.identity(x), q
+    for i in p.span():
+        for g in range(p.pres_at(i).generators):
+            incl = direct_sum_map(incl, ChainMap.zero_map(zero_complex(), disk_complex(i)))
+            proj = cotuple(proj, _one_disk_cover(p, i, g))
+    return incl, proj
+
+
+def folded_adjustment(s):
+    left, right = s.left, s.right
+    for i in s.x0.span():
+        for g in range(s.x0.pres_at(i).generators):
+            left = cotuple(left, _one_disk_cover(s.x0, i, g))
+            right = cotuple(right, _one_disk_cover(s.x0, i, g))
+    return CospanSection(left.source, s.x0, right.source, left, right, tags=s.tags)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +145,34 @@ def test_adjusted_section_has_surjective_legs():
     assert surjective_in_positive_degrees(s.right, "right").passed
     assert homology(s.x1) == homology(zero_complex())
     assert homology(s.x0) == homology(x).truncated(1)
+
+
+@given(free_pieces_st, cut_st)
+@settings(max_examples=40, deadline=None)
+def test_one_shot_disk_cover_matches_the_per_generator_fold(pieces, k):
+    x = build_sum(pieces)
+    assert hofib_factorization(x, k) == folded_factorization(x, k)
+    s = build_hofib_section(x, k)
+    assert fibrant_adjustment(s) == folded_adjustment(s)
+
+
+def test_factorization_builds_as_many_chain_maps_for_any_section_size(monkeypatch):
+    built = []
+    check = ChainMap.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChainMap, "__post_init__", counted)
+    counts = []
+    for rank in (2, 12):
+        x = sphere_complex(0, rank)
+        assert postnikov_section(x, 0)[0].pres_at(0).generators == rank
+        built.clear()
+        hofib_factorization(x, 0)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 @given(free_pieces_st, cut_st)
