@@ -6,7 +6,8 @@ text by default, canonical machine JSON with ``--format machine``.  Machine
 reports carry no timing and are byte-identical for identical inputs, seeds,
 and flags.  Exit codes: 0 every check passed, 1 at least one check failed,
 2 the input could not be used (parse error, broken document, unusable
-arguments).
+arguments), 3 internal error (a defect in towercalc; the traceback goes to
+stderr).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from . import serialize
@@ -24,6 +26,7 @@ from .certificates import Certificate, bundle, failed, passed
 from .complexes import ChainComplex, hom_complex, homology_group
 from .errors import (
     IllFormedMap,
+    InputError,
     NotCofibrant,
     ParseError,
     PartitionTooSmall,
@@ -45,8 +48,8 @@ from .sections import (
 )
 from .trunc import connective_cover, is_n_type, is_Pn_weq, layer, postnikov_section
 
-_INPUT_ERRORS = (ParseError, ValidationError, TorsionSource, NotCofibrant,
-                 PartitionTooSmall, StabilizationViolated, IllFormedMap, ValueError)
+_INPUT_ERRORS = (ParseError, ValidationError, InputError, TorsionSource, NotCofibrant,
+                 PartitionTooSmall, StabilizationViolated, IllFormedMap)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +140,9 @@ def _parse_primes(raw: str, flag: str) -> set:
         except ValueError:
             digits, limit = p.lstrip("+-"), sys.get_int_max_str_digits()
             if digits.isdecimal() and 0 < limit < len(digits):
-                raise ValueError(f"{flag} entry has {len(digits)} digits, over the "
+                raise InputError(f"{flag} entry has {len(digits)} digits, over the "
                                  f"interpreter's limit of {limit}") from None
-            raise ValueError(f"{flag} expects a comma-separated list of primes") from None
+            raise InputError(f"{flag} expects a comma-separated list of primes") from None
     return primes
 
 
@@ -399,12 +402,20 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    started = time.monotonic()
     try:
-        result = _HANDLERS[args.command](args)
+        return _run(args)
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception:  # a defect in towercalc, never a verdict on the input
+        traceback.print_exc()
+        print("error: internal error (exit 3)", file=sys.stderr)
+        return 3
+
+
+def _run(args) -> int:
+    started = time.monotonic()
+    result = _HANDLERS[args.command](args)
     inputs, checks = result[0], result[1]
     document = result[2] if len(result) > 2 else None
     elapsed = int((time.monotonic() - started) * 1000)

@@ -1,9 +1,16 @@
 """Shared exception types.
 
-Input-contract violations (bad documents, bad flags) raise ParseError or
-ValidationError and map to CLI exit code 2.  The remaining types signal
-violated mathematical preconditions.
+Input-contract violations (bad documents, bad flags) raise ParseError,
+ValidationError or InputError and map to CLI exit code 2.  The remaining
+types signal violated mathematical preconditions.
 """
+
+
+class InputError(ValueError):
+    """An argument outside its documented range: a prime list, a prime past
+    the certified bound, an overlapping or non-prime partition, a tower
+    length short of the top degree, a generator profile past its caps.  It
+    is a ValueError, so callers that catch ValueError keep working."""
 
 
 class IllFormedMap(Exception):

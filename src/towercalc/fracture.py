@@ -41,7 +41,7 @@ from .complexes import (
     sphere_complex,
     zero_complex,
 )
-from .errors import PartitionTooSmall
+from .errors import InputError, PartitionTooSmall
 from .exactalg import (
     FpAbelianGroup,
     GroupMap,
@@ -66,7 +66,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def _is_prime(n: int) -> bool:
     if n >= PRIME_CERTIFY_BOUND:
-        raise ValueError(f"{n} is too large to certify as prime "
+        raise InputError(f"{n} is too large to certify as prime "
                          f"(primes must be below {PRIME_CERTIFY_BOUND})")
     if n < 2:
         return False
@@ -101,9 +101,9 @@ class PrimePartition:
         object.__setattr__(self, "k", frozenset(k))
         for p in self.j | self.k:
             if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise InputError(f"{p} is not prime")
         if self.j & self.k:
-            raise ValueError(f"sides overlap in {sorted(self.j & self.k)}")
+            raise InputError(f"sides overlap in {sorted(self.j & self.k)}")
 
     def require_covers(self, orders) -> None:
         """Every prime of every torsion order lies in J or K."""

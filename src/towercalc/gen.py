@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import ChainComplex, ChainMap, direct_sum, disk_complex, moore_complex, sphere_complex, zero_complex
+from .errors import InputError
 from .exactalg import IntegerMatrix, prime_part
 from .serialize import complex_to_doc
 
@@ -37,13 +38,13 @@ class GenProfile:
 
     def __post_init__(self):
         if not 1 <= self.max_span <= _HARD_SPAN:
-            raise ValueError(f"max_span must lie in 1..{_HARD_SPAN}")
+            raise InputError(f"max_span must lie in 1..{_HARD_SPAN}")
         if not 1 <= self.max_generators <= _HARD_GENS:
-            raise ValueError(f"max_generators must lie in 1..{_HARD_GENS}")
+            raise InputError(f"max_generators must lie in 1..{_HARD_GENS}")
         if not 1 <= self.max_entry <= _HARD_ENTRY:
-            raise ValueError(f"max_entry must lie in 1..{_HARD_ENTRY}")
+            raise InputError(f"max_entry must lie in 1..{_HARD_ENTRY}")
         if not set(self.primes) <= _HARD_PRIMES:
-            raise ValueError(f"torsion primes must lie in {sorted(_HARD_PRIMES)}")
+            raise InputError(f"torsion primes must lie in {sorted(_HARD_PRIMES)}")
 
     def torsion_orders(self) -> list[int]:
         return [t for t in range(2, self.max_entry + 1)

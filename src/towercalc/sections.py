@@ -28,7 +28,7 @@ from .complexes import (
     pullback_induced_map,
     zero_complex,
 )
-from .errors import CharacterizationMismatch, IllFormedMap, StabilizationViolated
+from .errors import CharacterizationMismatch, IllFormedMap, InputError, StabilizationViolated
 from .exactalg import GroupMap, IntegerMatrix, Presentation, column_basis, solve_matrix
 from .trunc import is_n_type, is_Pn_weq, postnikov_section
 
@@ -309,7 +309,7 @@ def postnikov_tower(x: ChainComplex, m: int) -> TowerSection:
     """The section (P_n x)_{n <= m} with its quotient structure maps; m must
     clear the top degree so the prefix reaches the stable range."""
     if m < x.top_deg:
-        raise ValueError(f"length {m} does not reach the top degree {x.top_deg}")
+        raise InputError(f"length {m} does not reach the top degree {x.top_deg}")
     levels = [postnikov_section(x, n)[0] for n in range(m + 1)]
     maps = [postnikov_section(levels[n + 1], n)[1] for n in range(m)]
     stab = max(0, min(x.top_deg, m))
@@ -326,7 +326,7 @@ def free_postnikov_tower(x: ChainComplex, m: int):
     free and kills all homology above n.
     """
     if m < x.top_deg:
-        raise ValueError(f"length {m} does not reach the top degree {x.top_deg}")
+        raise InputError(f"length {m} does not reach the top degree {x.top_deg}")
     base = postnikov_tower(x, m)
     free, q = cofibrant_replacement(x)
 

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+from towercalc import cli
 from towercalc.cli import main
 from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_complex, zero_complex
 from towercalc.complexes import direct_sum_map
@@ -205,3 +206,28 @@ def test_generate_machine_format_is_canonical(capsys):
     doc = json.loads(out)
     assert doc["name"] == "generated_4"
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("shape mismatch 2x3 @ 2x3")
+
+    monkeypatch.setitem(cli._HANDLERS, "homology", broken)
+    assert main(["homology", MOORE]) == 3
+    err = capsys.readouterr().err
+    assert "ValueError: shape mismatch 2x3 @ 2x3" in err
+    assert "internal error" in err
+
+
+def test_typed_input_errors_exit_two(capsys, tmp_path):
+    # a non-prime, an overlapping partition, a broken document
+    assert main(["fracture", MOORE, "--primes-j", "4", "--primes-k", "3"]) == 2
+    assert main(["fracture", MOORE, "--primes-j", "2,3", "--primes-k", "3"]) == 2
+    doc = json.loads(Path(MOORE).read_text())
+    doc["differentials"][0][0][0] = "x"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    assert main(["homology", str(broken)]) == 2
+    assert main(["homology", str(FIXTURES / "invalid_d2.json")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err

@@ -8,7 +8,9 @@ resolutions instead of the closed forms.
 """
 
 import itertools
-from math import gcd
+import random
+import time
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,95 @@ def test_snf_matches_minor_gcd_oracle(rows):
     m = IntegerMatrix.from_rows(rows)
     got = [d for d in smith_normal_form(m).d if d]
     assert got == determinantal_invariants(rows)
+
+
+# Rectangular and rank-deficient matrices up to 8 x 8 with entries up to
+# 2^13: rows drawn in [-2^12, 2^12], then some rows replaced by the sum of
+# two others.
+@st.composite
+def wide_entry_matrices(draw):
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-(2 ** 12), 2 ** 12)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    for i in draw(st.lists(st.integers(0, nr - 1), max_size=3)):
+        a, b = draw(st.integers(0, nr - 1)), draw(st.integers(0, nr - 1))
+        rows[i] = [x + y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@given(wide_entry_matrices())
+@settings(max_examples=120, deadline=None)
+def test_snf_against_sympy_and_bareiss(rows):
+    sympy_snf = pytest.importorskip("sympy.matrices.normalforms").smith_normal_form
+    from sympy import Matrix
+    from sympy.polys.domains import ZZ
+
+    m = IntegerMatrix.from_rows(rows)
+    snf = smith_normal_form.__wrapped__(m)
+    assert snf.U @ m @ snf.V == snf.diagonal_matrix(m.rows, m.cols)
+    assert abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
+    nonzero = [d for d in snf.d if d]
+    if m.rows == m.cols:
+        product = 1
+        for d in nonzero:
+            product *= d
+        det = abs(m.det())
+        assert product == det if det else len(nonzero) < m.rows
+    diagonal = sympy_snf(Matrix(rows), domain=ZZ)
+    theirs = sorted(abs(int(diagonal[i, i])) for i in range(min(m.rows, m.cols)))
+    assert sorted(nonzero) == [d for d in theirs if d]
+    assert group_from_presentation.__wrapped__(m) == FpAbelianGroup.from_orders(
+        m.cols - len(nonzero), nonzero)
+
+
+def _hadamard_bits(m: IntegerMatrix) -> int:
+    """Bit-length of the Hadamard bound: the product of the row norms."""
+    square = 1
+    for i in range(m.rows):
+        square *= max(1, sum(x * x for x in m.row(i)))
+    return (isqrt(square) + 1).bit_length()
+
+
+def _dense(rng, n, bound):
+    return IntegerMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+
+
+def _scrambled(rng, n, bits):
+    """U @ D @ V with a divisibility chain D and unimodular U, V built from
+    at least 3n signed shears, applied until some entry has `bits` bits."""
+    d, cur = [], 1
+    for _ in range(n):
+        cur *= rng.choice((1, 1, 1, 2, 3))
+        d.append(cur)
+    a = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    shears = 0
+    while shears < 3 * n or max(abs(x) for r in a for x in r).bit_length() < bits:
+        shears += 1
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        a[i] = [x + s * y for x, y in zip(a[i], a[j])]          # row shear
+        for r in a:                                              # column shear
+            r[j] += s * r[i]
+    return IntegerMatrix.from_rows(a), tuple(d)
+
+
+@pytest.mark.parametrize("kind, n, bits", [("dense", 12, 4), ("scrambled", 12, 13),
+                                           ("dense", 32, 4), ("scrambled", 32, 24)])
+def test_snf_beyond_the_old_wall_is_fast_and_bounded(kind, n, bits):
+    rng = random.Random(f"{kind}:{n}")
+    if kind == "dense":
+        m, d = _dense(rng, n, 9), None
+    else:
+        m, d = _scrambled(rng, n, bits)
+    assert max(abs(x) for x in m.entries).bit_length() == bits
+    started = time.perf_counter()
+    snf = smith_normal_form.__wrapped__(m)
+    assert time.perf_counter() - started < 1.0
+    assert snf.U @ m @ snf.V == snf.diagonal_matrix(n, n)
+    if d is not None:
+        assert snf.d == d
+    peak = max(abs(x).bit_length() for x in snf.U.entries + snf.V.entries)
+    assert peak <= n * _hadamard_bits(m)
 
 
 def test_det_bareiss_known_values():
