@@ -30,7 +30,6 @@ from .errors import (
     NotCofibrant,
     ParseError,
     PartitionTooSmall,
-    StabilizationViolated,
     TorsionSource,
     ValidationError,
 )
@@ -49,7 +48,7 @@ from .sections import (
 from .trunc import connective_cover, is_n_type, is_Pn_weq, layer, postnikov_section
 
 _INPUT_ERRORS = (ParseError, ValidationError, InputError, TorsionSource, NotCofibrant,
-                 PartitionTooSmall, StabilizationViolated, IllFormedMap)
+                 PartitionTooSmall, IllFormedMap)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Input-contract violations (bad documents, bad flags) raise ParseError,
 ValidationError or InputError and map to CLI exit code 2.  The remaining
-types signal violated mathematical preconditions.
+types signal violated mathematical preconditions; CharacterizationMismatch
+alone is an implementation bug.  No type covers tower stabilization: a
+tower derives its index from its maps, so there is no claim to violate.
 """
 
 
@@ -16,14 +18,6 @@ class InputError(ValueError):
 class IllFormedMap(Exception):
     """A matrix does not carry source relations into target relations, or a
     would-be chain map fails to commute with the differentials."""
-
-
-class StabilizationViolated(Exception):
-    """A declared stabilization index is not backed by isomorphisms."""
-
-    def __init__(self, index: int, message: str = ""):
-        self.index = index
-        super().__init__(message or f"structure map at level {index} is not an isomorphism")
 
 
 class TorsionSource(Exception):

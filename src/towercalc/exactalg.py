@@ -29,13 +29,11 @@ the relation *lattice* is spanned by the columns of its transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
-from typing import ClassVar
 
-from .errors import IllFormedMap, StabilizationViolated
+from .errors import IllFormedMap
 
 # Entries kept by each normal-form cache (here and in complexes).  Unbounded,
 # the caches hold every matrix and complex a long run has seen.
@@ -168,9 +166,6 @@ class IntegerMatrix:
     @property
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def max_abs(self) -> int:
-        return max((abs(x) for x in self.entries), default=0)
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -826,78 +821,12 @@ def pullback_group(f: GroupMap, g: GroupMap):
 # towers of groups
 
 
-class Lim1Status(Enum):
-    ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class ImagesStabilizeBy:
-    """Every image chain im(A_{i+k} -> A_i) is constant from `index` on."""
-
-    index: int
-    horizon: int
-    stabilized: ClassVar[bool] = True
-
-
-@dataclass(frozen=True)
-class NotStabilizedWithin:
-    """Some image chain was still strictly dropping at the horizon."""
-
-    horizon: int
-    index: ClassVar[None] = None
-    stabilized: ClassVar[bool] = False
-
-
-@dataclass(frozen=True)
-class GroupTower:
-    """A_0 <- A_1 <- ... <- A_m with a verified stabilization index.
-
-    maps[i] : A_{i+1} -> A_i.  Construction checks that every map at or above
-    the declared index is an isomorphism and rejects fakes.
-    """
-
-    bottom: Presentation
-    maps: tuple[GroupMap, ...]
-    stabilization_index: int
-
-    def __post_init__(self):
-        if self.maps and self.maps[0].target != self.bottom:
-            raise IllFormedMap("first map must land in the bottom group")
-        for i in range(len(self.maps) - 1):
-            if self.maps[i].source != self.maps[i + 1].target:
-                raise IllFormedMap(f"tower maps disagree between levels {i + 1} and {i + 2}")
-        if not 0 <= self.stabilization_index <= len(self.maps):
-            raise ValueError("stabilization index out of range")
-        for i in range(self.stabilization_index, len(self.maps)):
-            if not self.maps[i].is_iso():
-                raise StabilizationViolated(i)
-
-    @property
-    def length(self) -> int:
-        return len(self.maps)
-
-    def presentation_at(self, i: int) -> Presentation:
-        if i == 0:
-            return self.bottom
-        return self.maps[i - 1].source
-
-    def groups(self) -> tuple[FpAbelianGroup, ...]:
-        return tuple(self.presentation_at(i).group() for i in range(self.length + 1))
-
-
-def tower_lim_lim1(t: GroupTower):
-    """(lim, lim^1 status).  Stabilization makes the tower Mittag-Leffler,
-    so lim is the stable value and lim^1 vanishes."""
-    stable = t.presentation_at(t.stabilization_index).group()
-    return stable, Lim1Status.ZERO
-
-
-def mittag_leffler_diagnostic(maps, horizon: int) -> ImagesStabilizeBy | NotStabilizedWithin:
+def mittag_leffler_diagnostic(maps, horizon: int) -> int | None:
     """Inspect image chains im(A_{i+k} -> A_i) for k <= horizon.
 
-    Reports the least k by which every image chain has become constant, or
-    NotStabilizedWithin(horizon) when some chain is still strictly dropping
-    at the horizon.  The prefix must be long enough to see `horizon` steps.
+    Returns the least k by which every image chain has become constant, or
+    None when some chain is still strictly dropping at the horizon.  The
+    prefix must be long enough to see `horizon` steps.
     """
     maps = tuple(maps)
     if horizon < 1:
@@ -918,6 +847,6 @@ def mittag_leffler_diagnostic(maps, horizon: int) -> ImagesStabilizeBy | NotStab
         while r > 0 and lattice_eq(chains[r - 1], chains[horizon]):
             r -= 1
         if r == horizon:  # still dropping at the last step
-            return NotStabilizedWithin(horizon)
+            return None
         worst = max(worst, r)
-    return ImagesStabilizeBy(worst, horizon)
+    return worst

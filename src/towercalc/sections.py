@@ -1,10 +1,11 @@
 """Sections of truncation towers and cospans of complexes.
 
 A tower section is a finite prefix X_0, ..., X_m with structure maps
-X_{i+1} -> X_i, where level i is declared to carry the i-truncated structure;
-a cospan section is a diagram X_1 -> X_0 <- X_2 with a localization tag on
-each vertex.  Morphisms are componentwise chain maps whose squares commute,
-verified at construction.
+X_{i+1} -> X_i; it derives its stabilization index, the level from which it
+is literally constant, instead of taking one on trust.  A cospan section is
+a diagram X_1 -> X_0 <- X_2 with a localization tag on each vertex.
+Morphisms are componentwise chain maps whose squares commute, verified at
+construction.
 
 The predicates below decide the model-structure classes that make sense
 levelwise: weak equivalences and cofibrations are componentwise, fibrations
@@ -14,7 +15,7 @@ that must agree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import (
@@ -28,7 +29,7 @@ from .complexes import (
     pullback_induced_map,
     zero_complex,
 )
-from .errors import CharacterizationMismatch, IllFormedMap, InputError, StabilizationViolated
+from .errors import CharacterizationMismatch, IllFormedMap, InputError
 from .exactalg import GroupMap, IntegerMatrix, Presentation, column_basis, solve_matrix
 from .trunc import is_n_type, is_Pn_weq, postnikov_section
 
@@ -38,14 +39,15 @@ from .trunc import is_n_type, is_Pn_weq, postnikov_section
 
 @dataclass(frozen=True)
 class TowerSection:
-    """Levels X_0 ... X_m with structure maps X_{i+1} -> X_i; all levels at or
-    above the declared stabilization index must literally coincide, with
-    identity structure maps between them."""
+    """Levels X_0 ... X_m with structure maps X_{i+1} -> X_i.
+
+    `stabilization` is derived at construction: the least s such that every
+    structure map from level s on is the identity of one complex (its
+    components are identity matrices), so levels s ... m coincide."""
 
     complexes: tuple[ChainComplex, ...]
     structure_maps: tuple[ChainMap, ...]
-    stabilization: int
-    level_spec: str = "postnikov"
+    stabilization: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "complexes", tuple(self.complexes))
@@ -55,13 +57,10 @@ class TowerSection:
         for i, m in enumerate(self.structure_maps):
             if m.source != self.complexes[i + 1] or m.target != self.complexes[i]:
                 raise IllFormedMap(f"structure map {i} does not go from level {i + 1} to level {i}")
-        if not 0 <= self.stabilization <= self.length:
-            raise IllFormedMap("stabilization index out of range")
-        for i in range(self.stabilization, self.length):
-            if (self.complexes[i + 1] != self.complexes[i]
-                    or self.structure_maps[i] != ChainMap.identity(self.complexes[i])):
-                raise StabilizationViolated(i, f"levels {i + 1} and {i} differ above the "
-                                               "declared stabilization index")
+        s = self.length
+        while s > 0 and _is_identity(self.structure_maps[s - 1]):
+            s -= 1
+        object.__setattr__(self, "stabilization", s)
 
     @property
     def length(self) -> int:
@@ -69,6 +68,11 @@ class TowerSection:
 
     def level(self, i: int) -> ChainComplex:
         return self.complexes[i]
+
+
+def _is_identity(f: ChainMap) -> bool:
+    return f.source == f.target and all(
+        c == IntegerMatrix.identity(c.rows) for c in f.components)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def identity_morphism(section) -> SectionMorphism:
 
 def constant_tower(x: ChainComplex, m: int) -> TowerSection:
     """x at every level with identity structure maps."""
-    return TowerSection((x,) * (m + 1), (ChainMap.identity(x),) * m, 0)
+    return TowerSection((x,) * (m + 1), (ChainMap.identity(x),) * m)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +316,7 @@ def postnikov_tower(x: ChainComplex, m: int) -> TowerSection:
         raise InputError(f"length {m} does not reach the top degree {x.top_deg}")
     levels = [postnikov_section(x, n)[0] for n in range(m + 1)]
     maps = [postnikov_section(levels[n + 1], n)[1] for n in range(m)]
-    stab = max(0, min(x.top_deg, m))
-    return TowerSection(tuple(levels), tuple(maps), stab)
+    return TowerSection(tuple(levels), tuple(maps))
 
 
 def free_postnikov_tower(x: ChainComplex, m: int):
@@ -368,8 +371,7 @@ def free_postnikov_tower(x: ChainComplex, m: int):
                 comps.append(IntegerMatrix.zero(0, upper.pres_at(i).generators))
         maps.append(ChainMap(upper, lower, tuple(comps)))
 
-    stab = max(0, min(free.top_deg, m))
-    tower = TowerSection(tuple(levels), tuple(maps), stab)
+    tower = TowerSection(tuple(levels), tuple(maps))
 
     comparisons = []
     for n in range(m + 1):

@@ -14,7 +14,7 @@ import re
 import sys
 
 from .complexes import ChainComplex, ChainMap
-from .errors import IllFormedMap, ParseError, StabilizationViolated, ValidationError
+from .errors import IllFormedMap, ParseError, ValidationError
 from .exactalg import IntegerMatrix, Presentation
 from .sections import CospanSection, TowerSection
 
@@ -35,13 +35,13 @@ def _count(value, where: str) -> int:
     return value
 
 
-def _entry(value, where: str) -> int:
+def _decimal(value, where: str, noun: str) -> int:
     if not isinstance(value, str) or not _INT.match(value):
-        raise ParseError(where, f"matrix entries are decimal strings, got {value!r}")
+        raise ParseError(where, f"{noun} must be a decimal string, got {value!r}")
     try:
         return int(value)
     except ValueError:
-        raise ParseError(where, f"entry has {len(value.lstrip('-'))} digits, over the "
+        raise ParseError(where, f"{noun} has {len(value.lstrip('-'))} digits, over the "
                                 f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
 
 
@@ -54,7 +54,8 @@ def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]", f"expected a row of {cols} entries")
-        flat.extend(_entry(e, f"{where}[{i}][{j}]") for j, e in enumerate(row))
+        flat.extend(_decimal(e, f"{where}[{i}][{j}]", "matrix entry")
+                    for j, e in enumerate(row))
     return IntegerMatrix(rows, cols, tuple(flat))
 
 
@@ -134,13 +135,6 @@ def chain_map_to_doc(f: ChainMap) -> list:
 # towers and cospans
 
 
-def _minimal_stabilization(levels, maps) -> int:
-    s = len(maps)
-    while s > 0 and levels[s] == levels[s - 1] and maps[s - 1] == ChainMap.identity(levels[s - 1]):
-        s -= 1
-    return s
-
-
 def tower_from_doc(doc: dict, where: str = "tower") -> TowerSection:
     levels_doc = _need(doc, "levels", where)
     if not isinstance(levels_doc, list) or not levels_doc:
@@ -152,9 +146,8 @@ def tower_from_doc(doc: dict, where: str = "tower") -> TowerSection:
     maps = [chain_map_from_doc(d, levels[i + 1], levels[i], f"{where}.maps[{i}]")
             for i, d in enumerate(maps_doc)]
     try:
-        return TowerSection(tuple(levels), tuple(maps),
-                            _minimal_stabilization(levels, maps))
-    except (IllFormedMap, StabilizationViolated) as err:
+        return TowerSection(tuple(levels), tuple(maps))
+    except IllFormedMap as err:
         raise ValidationError(where, str(err)) from err
 
 
@@ -177,6 +170,8 @@ def cospan_from_doc(doc: dict, where: str = "cospan") -> CospanSection:
     if (not isinstance(tags, list) or len(tags) != 3
             or not all(isinstance(t, str) for t in tags)):
         raise ParseError(f"{where}.tags", "expected three tag strings")
+    if tags[1].startswith("ptype:"):
+        _decimal(tags[1][len("ptype:"):], f"{where}.tags[1]", "a ptype: level")
     try:
         return CospanSection(vertices["x1"], vertices["x0"], vertices["x2"],
                              left, right, tags=tuple(tags))

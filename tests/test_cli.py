@@ -231,3 +231,15 @@ def test_typed_input_errors_exit_two(capsys, tmp_path):
     assert main(["homology", str(FIXTURES / "invalid_d2.json")]) == 2
     err = capsys.readouterr().err
     assert "internal error" not in err
+
+
+def test_malformed_ptype_tags_exit_two_at_their_path(capsys, tmp_path):
+    doc = json.loads(Path(COSPAN).read_text())
+    path = tmp_path / "cospan.json"
+    for level in ("x", "", "1.5", "7" * 5000):
+        doc["tags"] = ["plain", f"ptype:{level}", "plain"]
+        path.write_text(json.dumps(doc))
+        assert main(["section", "check-cospan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}.tags[1]" in err
+        assert "internal error" not in err

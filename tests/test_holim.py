@@ -17,7 +17,8 @@ from towercalc.complexes import (
     sphere_complex,
     zero_complex,
 )
-from towercalc.errors import StabilizationViolated, TorsionSource
+from towercalc import exactalg
+from towercalc.errors import TorsionSource
 from towercalc.exactalg import FpAbelianGroup, IntegerMatrix, Presentation
 from towercalc.holim import (
     generator_commutation_check,
@@ -88,11 +89,15 @@ def test_limit_of_a_truncation_tower_is_the_top_level():
 
 
 def test_fake_stabilization_never_reaches_the_limit():
-    """The tower type itself rejects unverifiable stabilization claims."""
+    """A tower that is not constant from level 0 derives a later index, and
+    its limit is the top level, not the bottom one."""
     x, y = sphere_complex(0), sphere_complex(0, 2)
     proj = ChainMap(y, x, (IntegerMatrix.from_rows([[1, 0]]),))
-    with pytest.raises(StabilizationViolated):
-        TowerSection((x, y), (proj,), 0)
+    tower = TowerSection((x, y), (proj,))
+    assert tower.stabilization == 1
+    limit, projections = tower_limit(tower)
+    assert limit == y
+    assert projections == (proj, ChainMap.identity(y))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,35 @@ def test_milnor_on_a_constant_tower():
 def test_milnor_far_above_the_span_is_trivially_exact():
     tower = postnikov_tower(sphere_complex(1), 2)
     assert milnor_check(tower, 10).passed
+
+
+def test_milnor_on_a_late_stabilizing_tower():
+    # 0 <- Z/2 <- Z/4 <- Z/4 <- Z/4 in degree 0: constant from level 2 on
+    z2, z4 = cyclic_layer(2, 0), cyclic_layer(4, 0)
+    zc = zero_complex()
+    tower = TowerSection(
+        (zc, z2, z4, z4, z4),
+        (ChainMap.zero_map(z2, zc), ChainMap(z4, z2, (IntegerMatrix.from_rows([[1]]),)),
+         ChainMap.identity(z4), ChainMap.identity(z4)))
+    assert tower.stabilization == 2
+    cert = milnor_check(tower, 0)
+    assert cert.passed, cert.failures()
+    value = [c for c in cert.children if c.check == "limit_homology_matches"]
+    assert value[0].witness["value"] == str(FpAbelianGroup.cyclic(4))
+    below = milnor_check(tower, -1)
+    assert below.passed, below.failures()
+    assert below.children[0].witness == {"degree": 0}
+
+
+def test_lim1_fails_when_image_chains_never_settle(monkeypatch):
+    """The lim^1 verdict is computed: if no two image lattices compared
+    equal, the chains would never settle and the check must fail."""
+    monkeypatch.setattr(exactalg, "lattice_eq", lambda a, b: False)
+    tower = postnikov_tower(direct_sum(moore_complex(4, 0), sphere_complex(2)), 3)
+    cert = milnor_check(tower, 1)
+    lim1 = next(c for c in cert.children if c.check == "lim1_vanishes")
+    assert not cert.passed and not lim1.passed
+    assert lim1.witness == {"degree": 2, "horizon": tower.length + 1}
 
 
 @given(pieces_st, st.integers(0, 4))

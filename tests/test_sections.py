@@ -22,7 +22,7 @@ from towercalc.complexes import (
     sphere_complex,
     zero_complex,
 )
-from towercalc.errors import IllFormedMap, StabilizationViolated
+from towercalc.errors import IllFormedMap
 from towercalc.exactalg import FpAbelianGroup, IntegerMatrix, Presentation
 from towercalc.sections import (
     CospanSection,
@@ -38,6 +38,7 @@ from towercalc.sections import (
     is_tower_fibration,
     postnikov_tower,
 )
+from towercalc.serialize import tower_from_doc, tower_to_doc
 from towercalc.trunc import connective_cover, postnikov_section
 
 # ---------------------------------------------------------------------------
@@ -79,15 +80,15 @@ free_pieces_st = st.lists(
 def test_tower_requires_matching_endpoints():
     s0, s1 = sphere_complex(0), sphere_complex(1)
     with pytest.raises(IllFormedMap):
-        TowerSection((s0, s1), (ChainMap.identity(s0),), 1)
+        TowerSection((s0, s1), (ChainMap.identity(s0),))
 
 
 def test_tower_rejects_false_stabilization_claim():
+    """No index is taken on trust: a projection Z^2 -> Z is not an identity,
+    so the tower derives stabilization 1, never 0."""
     x, y = sphere_complex(0), sphere_complex(0, 2)
     proj = ChainMap(y, x, (IntegerMatrix.from_rows([[1, 0]]),))
-    with pytest.raises(StabilizationViolated) as exc:
-        TowerSection((x, y), (proj,), 0)
-    assert exc.value.index == 0
+    assert TowerSection((x, y), (proj,)).stabilization == 1
 
 
 def test_cospan_checks_leg_endpoints():
@@ -189,7 +190,7 @@ def test_projection_to_the_zero_tower_is_a_fibration():
 def test_missing_pullback_generator_fails_with_witness():
     s1 = sphere_complex(1)
     double = ChainMap(s1, s1, (IntegerMatrix.from_rows([[2]]),))
-    tower = TowerSection((s1, s1), (double,), 1)
+    tower = TowerSection((s1, s1), (double,))
     zt = constant_tower(zero_complex(), 1)
     phi = SectionMorphism(tower, zt,
                           (ChainMap.zero_map(s1, zero_complex()),) * 2)
@@ -214,7 +215,7 @@ def test_zero_tower_is_fibrant():
 def test_non_surjective_structure_map_fails_fibrancy_both_ways():
     m = moore_complex(2, 0)
     zero_map = ChainMap(m, m, (IntegerMatrix.zero(1, 1), IntegerMatrix.zero(1, 1)))
-    tower = TowerSection((m, m), (zero_map,), 1)
+    tower = TowerSection((m, m), (zero_map,))
     cert = is_post_fibrant(tower)
     assert not cert.passed
     for route in cert.children:
@@ -235,8 +236,7 @@ def test_dropping_a_level_breaks_homotopy_cartesianness():
     zc = zero_complex()
     tower = TowerSection(
         (zc, zc, s),
-        (ChainMap.zero_map(zc, zc), ChainMap.zero_map(s, zc)),
-        2)
+        (ChainMap.zero_map(zc, zc), ChainMap.zero_map(s, zc)))
     cert = is_homotopy_cartesian(tower)
     assert not cert.passed
     assert cert.failures()[0].witness["level"] == 1
@@ -251,7 +251,7 @@ def test_torsion_level_is_not_cofibrant():
 
 def test_structure_map_dropping_homology_is_not_cofibrant():
     s = sphere_complex(0)
-    tower = TowerSection((s, s), (ChainMap(s, s, (IntegerMatrix.zero(1, 1),)),), 1)
+    tower = TowerSection((s, s), (ChainMap(s, s, (IntegerMatrix.zero(1, 1),)),))
     cert = is_tow_cofibrant(tower)
     assert not cert.passed
     assert any(c.check == "structure_map_weq" and not c.passed for c in cert.children)
@@ -323,3 +323,27 @@ def test_free_tower_levels_match_truncated_homology(pieces):
     for n in range(m + 1):
         assert homology(free_tower.level(n)) == homology(x).truncated(n)
         assert free_tower.level(n).is_degreewise_free
+
+
+def _least_constant_index(t):
+    def constant_from(s):
+        return all(t.level(j + 1) == t.level(j)
+                   and t.structure_maps[j] == ChainMap.identity(t.level(j))
+                   for j in range(s, t.length))
+    return min(s for s in range(t.length + 1) if constant_from(s))
+
+
+@given(pieces_st, st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_derived_stabilization_is_the_least_constant_index(pieces, extra):
+    x = build_sum(pieces)
+    m = max(x.top_deg, 0) + extra
+    post = postnikov_tower(x, m)
+    assert post.stabilization == max(0, min(x.top_deg, m))
+    free, _ = free_postnikov_tower(x, m)
+    const = constant_tower(x, extra)
+    assert const.stabilization == 0
+    for t in (post, free, const):
+        assert t.stabilization == _least_constant_index(t)
+        loaded = tower_from_doc(tower_to_doc(t))
+        assert loaded == t and loaded.stabilization == t.stabilization
