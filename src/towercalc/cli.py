@@ -284,7 +284,7 @@ def _cmd_section(args):
                       surjective_in_positive_degrees(s.right, "right leg")])]
     if any(t == "rational" or t.startswith("local:") for t in s.tags):
         checks.append(cospan_model_check(s))
-    elif s.tags[1].startswith("ptype:"):
+    elif s.ptype_level is not None:
         checks.append(is_homotopy_cartesian(s))
     return inputs, checks
 

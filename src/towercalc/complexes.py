@@ -25,12 +25,11 @@ from .exactalg import (
     IntegerMatrix,
     Presentation,
     block_diag,
-    column_basis,
-    integer_kernel,
     is_exact_pair,
     preimage_lattice,
     solve_matrix,
     subgroup_presentation,
+    subquotient,
 )
 
 
@@ -81,7 +80,7 @@ class ChainComplex:
         object.__setattr__(self, "differentials", diffs)
 
         for j, d in enumerate(diffs):
-            carried = d @ degs[j + 1].relation_columns()
+            carried = d @ degs[j + 1].relations
             if not degs[j].contains_in_relations(carried):
                 raise ValidationError(
                     f"degree {mn + j + 1}",
@@ -119,7 +118,7 @@ class ChainComplex:
 
     @property
     def is_degreewise_free(self) -> bool:
-        return all(p.relations.rows == 0 for p in self.degrees)
+        return all(p.relations.cols == 0 for p in self.degrees)
 
     def __str__(self):
         if self.is_zero:
@@ -177,7 +176,7 @@ class ChainMap:
                 raise IllFormedMap(
                     f"component at degree {i} has shape {f.rows}x{f.cols}, "
                     f"expected {tp.generators}x{sp.generators}")
-            if not tp.contains_in_relations(f @ sp.relation_columns()):
+            if not tp.contains_in_relations(f @ sp.relations):
                 raise IllFormedMap(f"component at degree {i} does not respect relations")
         lo = min(self.source.min_deg, self.target.min_deg)
         hi = max(self.source.top_deg, self.target.top_deg)
@@ -246,15 +245,10 @@ class HomologyData:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def homology_data(x: ChainComplex, i: int) -> HomologyData:
-    pres = x.pres_at(i)
-    below = x.pres_at(i - 1)
-    cycles = preimage_lattice(x.diff_at(i), below.relation_columns())
-    basis = column_basis(cycles)
-    killers = x.diff_at(i + 1).hstack(pres.relation_columns())
-    coords = solve_matrix(basis, killers)
-    assert coords is not None  # boundaries and relations are always cycles
-    relations = coords.transpose() if coords.cols else IntegerMatrix.zero(0, basis.cols)
-    return HomologyData(basis, Presentation(basis.cols, relations))
+    """H_i(x) as cycles modulo boundaries and degree-i relations."""
+    cycles = preimage_lattice(x.diff_at(i), x.pres_at(i - 1).relations)
+    pres, basis = subquotient(cycles, x.diff_at(i + 1).hstack(x.pres_at(i).relations))
+    return HomologyData(basis, pres)
 
 
 def homology_group(x: ChainComplex, i: int) -> FpAbelianGroup:
@@ -409,14 +403,9 @@ def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
         return gens
 
     def layer_presentation(k, gens):
-        rel_blocks = []
-        for i in m.span():
-            for a in range(m.pres_at(i).generators):
-                rel_blocks.append(n.pres_at(i + k).relations)
-        rel = block_diag(*rel_blocks) if rel_blocks else IntegerMatrix.zero(0, 0)
-        if rel.cols != len(gens):
-            rel = IntegerMatrix.zero(rel.rows, len(gens))
-        return Presentation(len(gens), rel)
+        rel_blocks = [n.pres_at(i + k).relations
+                      for i in m.span() for _ in range(m.pres_at(i).generators)]
+        return Presentation(len(gens), block_diag(*rel_blocks))
 
     layers = {k: layer(k) for k in range(lo, hi + 1)}
     degs = [layer_presentation(k, layers[k]) for k in range(lo, hi + 1)]
@@ -458,7 +447,7 @@ def degreewise_pullback(f: ChainMap, g: ChainMap):
     for i in range(lo, hi + 1):
         ambient = a.pres_at(i).direct_sum(b.pres_at(i))
         diff_map = f.component_at(i).hstack(-g.component_at(i))
-        lat = preimage_lattice(diff_map, c.pres_at(i).relation_columns())
+        lat = preimage_lattice(diff_map, c.pres_at(i).relations)
         pres, basis = subgroup_presentation(ambient, lat)
         presentations.append(pres)
         bases.append(basis)
@@ -505,7 +494,7 @@ def degreewise_kernel(f: ChainMap):
     presentations = []
     bases = []
     for i in x.span():
-        lat = preimage_lattice(f.component_at(i), f.target.pres_at(i).relation_columns())
+        lat = preimage_lattice(f.component_at(i), f.target.pres_at(i).relations)
         pres, basis = subgroup_presentation(x.pres_at(i), lat)
         presentations.append(pres)
         bases.append(basis)
@@ -524,12 +513,8 @@ def degreewise_kernel(f: ChainMap):
 def cokernel_complex(j: ChainMap):
     """(Q, q) where Q_i = target_i / im(j_i) and q is the quotient map."""
     x = j.target
-    degs = []
-    for i in x.span():
-        pres = x.pres_at(i)
-        extra = j.component_at(i).transpose()
-        degs.append(Presentation(pres.generators, pres.relations.vstack(extra)))
-    quo = ChainComplex(x.min_deg, tuple(degs), x.differentials)
+    degs = tuple(x.pres_at(i).quotient(j.component_at(i)) for i in x.span())
+    quo = ChainComplex(x.min_deg, degs, x.differentials)
     q = ChainMap(x, quo, tuple(IntegerMatrix.identity(p.generators) for p in x.degrees))
     return quo, q
 
@@ -547,12 +532,12 @@ def connecting_map(j: ChainMap, q: ChainMap, i: int) -> GroupMap:
     quo = q.target
     hq = homology_data(quo, i)
     hc = homology_data(c, i - 1)
-    lift_system = q.component_at(i).hstack(quo.pres_at(i).relation_columns())
+    lift_system = q.component_at(i).hstack(quo.pres_at(i).relations)
     lifted = solve_matrix(lift_system, hq.basis)
     if lifted is None:
         raise IllFormedMap(f"quotient map is not surjective at degree {i}")
     dx = x.diff_at(i) @ lifted.take_rows(0, x.pres_at(i).generators)
-    pull_system = j.component_at(i - 1).hstack(x.pres_at(i - 1).relation_columns())
+    pull_system = j.component_at(i - 1).hstack(x.pres_at(i - 1).relations)
     pulled = solve_matrix(pull_system, dx)
     if pulled is None:
         raise IllFormedMap(f"boundary does not come from the subcomplex at degree {i - 1}")
@@ -608,18 +593,17 @@ def cofibrant_replacement(x: ChainComplex):
         n = x.min_deg + step
         prev_gens = f_gens[-1]
         dn = x.diff_at(n)
-        rel_below = x.pres_at(n - 1).relation_columns()
+        rel_below = x.pres_at(n - 1).relations
         # kernel classes downstairs: dF z = 0 and q z dies in H_{n-1}(X)
         df_prev = f_diffs[-1] if f_diffs else IntegerMatrix.zero(0, prev_gens)
-        top = df_prev.hstack(IntegerMatrix.zero(df_prev.rows, dn.cols + rel_below.cols))
-        bottom = q_comps[-1].hstack(-dn).hstack(-rel_below)
-        ker = integer_kernel(top.vstack(bottom))
-        killers = column_basis(ker.take_rows(0, prev_gens))
-        witnesses = solve_matrix(dn.hstack(rel_below), q_comps[-1] @ killers)
+        boundaries = dn.hstack(rel_below)
+        zero_over_boundaries = IntegerMatrix.zero(df_prev.rows, boundaries.cols).vstack(boundaries)
+        killers = preimage_lattice(df_prev.vstack(q_comps[-1]), zero_over_boundaries)
+        witnesses = solve_matrix(boundaries, q_comps[-1] @ killers)
         assert witnesses is not None
         witness_cols = witnesses.take_rows(0, dn.cols).columns()
         # cycles of X at degree n, one new free generator each
-        zn = column_basis(preimage_lattice(dn, rel_below))
+        zn = preimage_lattice(dn, rel_below)
         count = killers.cols + zn.cols
         f_gens.append(count)
         d_cols = list(killers.columns()) + [(0,) * prev_gens] * zn.cols

@@ -23,8 +23,10 @@ Conventions
 -----------
 Group elements are integer column vectors on a presentation's generators; a
 map's matrix has shape (target generators x source generators) and acts on
-the left.  A presentation's relation matrix stores one relation per ROW, so
-the relation *lattice* is spanned by the columns of its transpose.
+the left.  A presentation's relation matrix stores one relation per COLUMN
+(shape generators x relations), so its columns span the relation lattice
+and every lattice routine takes it as it is.  Only `serialize` sees the
+document layout of one relation per row.
 """
 from __future__ import annotations
 
@@ -124,13 +126,6 @@ class IntegerMatrix:
                         out[base + j] += av * brow[j]
         return IntegerMatrix(n, m, tuple(out))
 
-    def apply(self, vec) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(self.entry(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows))
-
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -198,18 +193,14 @@ class IntegerMatrix:
 
 
 def block_diag(*mats: IntegerMatrix) -> IntegerMatrix:
-    rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r = c = 0
+    out: list[int] = []
+    c = 0
     for m in mats:
         for i in range(m.rows):
-            row = m.row(i)
-            for j in range(m.cols):
-                out[r + i][c + j] = row[j]
-        r += m.rows
+            out.extend((0,) * c + m.row(i) + (0,) * (cols - c - m.cols))
         c += m.cols
-    return IntegerMatrix.from_rows(out) if rows else IntegerMatrix.zero(0, cols)
+    return IntegerMatrix(sum(m.rows for m in mats), cols, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +413,7 @@ def solve_matrix(m: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
 def column_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis (as columns) of the column lattice of m: the nonzero columns of
     its column Hermite form."""
-    e, nc = m.entries, m.cols
-    h = _hermite([list(e[j::nc]) for j in range(nc)])
-    return IntegerMatrix.from_cols(h, rows=m.rows)
+    return IntegerMatrix.from_cols(_hermite([list(c) for c in m.columns()]), rows=m.rows)
 
 
 def lattice_contains(gens: IntegerMatrix, vectors: IntegerMatrix) -> bool:
@@ -527,10 +516,7 @@ class FpAbelianGroup:
 
     @property
     def torsion_order(self) -> int:
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
+        return prod(self.torsion)
 
     def order(self) -> int | None:
         return None if self.rank else self.torsion_order
@@ -595,30 +581,32 @@ def _diagonal_mod(rows, modulus: int) -> list[int]:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def group_from_presentation(relations: IntegerMatrix) -> FpAbelianGroup:
-    """Quotient of Z^g (g = relations.cols) by the row span L of `relations`.
+    """Quotient of Z^g (g = relations.rows) by the column span L of
+    `relations`.
 
     Only the invariant factors d_1 | ... | d_r are needed, so no transforms
-    are tracked (Domich-Kannan-Trotter).  The row Hermite form of the
-    relations has r rows, and the product M of its pivots is an r x r minor
-    of a basis of L, so d_1 * ... * d_r divides M.  Hence
+    are tracked (Domich-Kannan-Trotter).  The column Hermite form of the
+    relations, the basis `column_basis` returns, has r columns, and the
+    product M of its pivots is an r x r minor of a basis of L, so
+    d_1 * ... * d_r divides M.  Hence
     Z^g / (L + M Z^g) = Z/d_1 + ... + Z/d_r + (Z/M)^(g-r), and its diagonal
     comes from elimination modulo M with every entry below M.  Results are
     cached, keeping the CACHE_MAXSIZE most recently used matrices.
     """
-    nc, e = relations.cols, relations.entries
-    h = _hermite(list(e[i * nc:(i + 1) * nc]) for i in range(relations.rows))
-    free = nc - len(h)
+    g = relations.rows
+    h = _hermite([list(c) for c in relations.columns()])
+    free = g - len(h)
     pivots = [next(x for x in r if x) for r in h]
     modulus = prod(pivots)
     if modulus == 1:
         return FpAbelianGroup(free, ())
     if not free and sum(p > 1 for p in pivots) == 1:
-        # each row with a unit pivot writes its generator through later
+        # each relation with a unit pivot writes its generator through later
         # ones, so the generator at the one larger pivot spans the group
         return FpAbelianGroup(0, (modulus,))
     diag = _diagonal_mod(h, modulus)
     # the (Z/M)^free summand is the end of the chain
-    invariants = _invariant_factors(diag + [modulus] * (nc - len(diag)))
+    invariants = _invariant_factors(diag + [modulus] * (g - len(diag)))
     return FpAbelianGroup(free, invariants[:len(invariants) - free])
 
 
@@ -650,34 +638,26 @@ def tensor_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Z^generators modulo the row span of `relations`."""
+    """Z^generators modulo the column span of `relations`, a generators x k
+    matrix holding one relation per column."""
 
     generators: int
     relations: IntegerMatrix
 
     def __post_init__(self):
-        if self.relations.cols != self.generators:
-            raise ValueError("relation width must equal generator count")
+        if self.relations.rows != self.generators:
+            raise ValueError("relation height must equal generator count")
 
     @staticmethod
     def free(n: int) -> "Presentation":
-        return Presentation(n, IntegerMatrix.zero(0, n))
+        return Presentation(n, IntegerMatrix.zero(n, 0))
 
     @staticmethod
     def of_group(g: FpAbelianGroup) -> "Presentation":
         """Canonical presentation: free generators first, then torsion."""
         n = g.rank + len(g.torsion)
-        rows = []
-        for i, t in enumerate(g.torsion):
-            row = [0] * n
-            row[g.rank + i] = t
-            rows.append(row)
-        return Presentation(n, IntegerMatrix.from_rows(rows) if rows else IntegerMatrix.zero(0, n))
-
-    def relation_columns(self) -> IntegerMatrix:
-        if not self.relations.rows:
-            return IntegerMatrix.zero(self.generators, 0)
-        return self.relations.transpose()
+        cols = [[t if k == g.rank + i else 0 for k in range(n)] for i, t in enumerate(g.torsion)]
+        return Presentation(n, IntegerMatrix.from_cols(cols, rows=n))
 
     def group(self) -> FpAbelianGroup:
         return group_from_presentation(self.relations)
@@ -686,12 +666,12 @@ class Presentation:
         rel = block_diag(self.relations, other.relations)
         return Presentation(self.generators + other.generators, rel)
 
+    def quotient(self, vectors: IntegerMatrix) -> "Presentation":
+        """This group modulo the classes of the columns of `vectors`."""
+        return Presentation(self.generators, self.relations.hstack(vectors))
+
     def contains_in_relations(self, vectors: IntegerMatrix) -> bool:
-        return lattice_contains(self.relation_columns(), vectors)
-
-
-def _relations_from_columns(cols: IntegerMatrix, width: int) -> IntegerMatrix:
-    return cols.transpose() if cols.cols else IntegerMatrix.zero(0, width)
+        return lattice_contains(self.relations, vectors)
 
 
 def preimage_lattice(matrix: IntegerMatrix, target_rel_cols: IntegerMatrix) -> IntegerMatrix:
@@ -702,19 +682,24 @@ def preimage_lattice(matrix: IntegerMatrix, target_rel_cols: IntegerMatrix) -> I
     return column_basis(head)
 
 
-def subgroup_presentation(ambient: Presentation, lattice_gens: IntegerMatrix):
-    """Present (lattice + relations)/relations as a group with chosen basis.
+def subquotient(gens: IntegerMatrix, killers: IntegerMatrix):
+    """Present L/K, where L is the column lattice of `gens` and K, the
+    column lattice of `killers`, lies inside L.
 
-    Returns (presentation, basis) where basis columns express the subgroup's
-    generators in ambient coordinates.
+    Returns (presentation, basis): the basis columns span L, and the
+    relations are the killers written in that basis.
     """
-    combined = lattice_gens.hstack(ambient.relation_columns())
-    basis = column_basis(combined)
-    coords = solve_matrix(basis, ambient.relation_columns())
-    if coords is None:  # relations always lie inside the combined lattice
-        raise AssertionError("ambient relations escaped their own lattice")
-    pres = Presentation(basis.cols, _relations_from_columns(coords, basis.cols))
-    return pres, basis
+    basis = column_basis(gens)
+    coords = solve_matrix(basis, killers)
+    if coords is None:
+        raise AssertionError("killers escaped the lattice they should lie in")
+    return Presentation(basis.cols, coords), basis
+
+
+def subgroup_presentation(ambient: Presentation, lattice_gens: IntegerMatrix):
+    """The subquotient (lattice + relations)/relations: the subgroup the
+    lattice generates, its basis columns in ambient coordinates."""
+    return subquotient(lattice_gens.hstack(ambient.relations), ambient.relations)
 
 
 @dataclass(frozen=True)
@@ -734,7 +719,7 @@ class GroupMap:
             raise IllFormedMap(
                 f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
                 f"{self.target.generators}x{self.source.generators}")
-        carried = self.matrix @ self.source.relation_columns()
+        carried = self.matrix @ self.source.relations
         if not self.target.contains_in_relations(carried):
             raise IllFormedMap("matrix does not carry source relations into target relations")
 
@@ -753,18 +738,14 @@ class GroupMap:
         return GroupMap(inner.source, self.target, self.matrix @ inner.matrix)
 
     def kernel_lattice(self) -> IntegerMatrix:
-        return preimage_lattice(self.matrix, self.target.relation_columns())
-
-    def image_lattice(self) -> IntegerMatrix:
-        return self.matrix.hstack(self.target.relation_columns())
+        return preimage_lattice(self.matrix, self.target.relations)
 
     def kernel_data(self):
         """(presentation, basis into source generators) of the kernel."""
         return subgroup_presentation(self.source, self.kernel_lattice())
 
     def cokernel_presentation(self) -> Presentation:
-        rel = self.target.relations.vstack(self.matrix.transpose())
-        return Presentation(self.target.generators, rel)
+        return self.target.quotient(self.matrix)
 
     def is_injective(self) -> bool:
         pres, _ = self.kernel_data()
@@ -780,8 +761,7 @@ class GroupMap:
 def kernel_image_cokernel(f: GroupMap):
     """Normal forms of ker f, im f, coker f."""
     ker_pres, _ = f.kernel_data()
-    image_rel = _relations_from_columns(f.kernel_lattice(), f.source.generators)
-    image = group_from_presentation(image_rel)
+    image = group_from_presentation(f.kernel_lattice())
     return ker_pres.group(), image, f.cokernel_presentation().group()
 
 
@@ -795,7 +775,7 @@ def is_exact_pair(f: GroupMap, g: GroupMap):
     composite = g.matrix @ f.matrix
     if not g.target.contains_in_relations(composite):
         return False, "composite is nonzero"
-    im = f.image_lattice()
+    im = f.matrix.hstack(f.target.relations)
     ker = g.kernel_lattice()
     if not lattice_contains(ker, im):
         return False, "image not contained in kernel"
@@ -810,7 +790,7 @@ def pullback_group(f: GroupMap, g: GroupMap):
         raise IllFormedMap("pullback legs must share a target")
     ambient = f.source.direct_sum(g.source)
     diff = f.matrix.hstack(-g.matrix)  # (a, b) |-> f(a) - g(b)
-    lat = preimage_lattice(diff, f.target.relation_columns())
+    lat = preimage_lattice(diff, f.target.relations)
     pres, basis = subgroup_presentation(ambient, lat)
     p1 = GroupMap(pres, f.source, basis.take_rows(0, f.source.generators))
     p2 = GroupMap(pres, g.source, basis.take_rows(f.source.generators, ambient.generators))
@@ -836,12 +816,12 @@ def mittag_leffler_diagnostic(maps, horizon: int) -> int | None:
     worst = 0
     for base in range(len(maps) - horizon + 1):
         target = maps[base].target
-        chains = [IntegerMatrix.identity(target.generators).hstack(target.relation_columns())]
+        chains = [IntegerMatrix.identity(target.generators).hstack(target.relations)]
         composite = None
         for k in range(horizon):
             m = maps[base + k]
             composite = m.matrix if composite is None else composite @ m.matrix
-            chains.append(composite.hstack(target.relation_columns()))
+            chains.append(composite.hstack(target.relations))
         # find least r with chain constant from r through horizon
         r = horizon
         while r > 0 and lattice_eq(chains[r - 1], chains[horizon]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import ChainComplex, ChainMap, direct_sum, disk_complex, moore_complex, sphere_complex, zero_complex
+from .complexes import ChainComplex, direct_sum, disk_complex, moore_complex, sphere_complex, zero_complex
 from .errors import InputError
 from .exactalg import IntegerMatrix, prime_part
 from .serialize import complex_to_doc

@@ -19,7 +19,6 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     chain_maps_agree,
-    HomologyProfile,
     hom_complex,
     homology,
     homology_data,

@@ -15,6 +15,7 @@ that must agree.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .certificates import Certificate, bundle, failed, passed
@@ -78,7 +79,11 @@ def _is_identity(f: ChainMap) -> bool:
 @dataclass(frozen=True)
 class CospanSection:
     """x1 --left--> x0 <--right-- x2 with a localization tag per vertex,
-    listed in the order (x1, x0, x2)."""
+    listed in the order (x1, x0, x2).
+
+    `ptype_level` is derived at construction: n when the middle tag is
+    `ptype:n`, None for any other middle tag.  A `ptype:` tag whose level is
+    not a decimal integer the interpreter converts raises InputError."""
 
     x1: ChainComplex
     x0: ChainComplex
@@ -86,6 +91,7 @@ class CospanSection:
     left: ChainMap
     right: ChainMap
     tags: tuple[str, str, str] = ("plain", "plain", "plain")
+    ptype_level: int | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tags", tuple(self.tags))
@@ -95,6 +101,17 @@ class CospanSection:
             raise IllFormedMap("right leg must map x2 to x0")
         if len(self.tags) != 3:
             raise IllFormedMap("one localization tag per vertex required")
+        level = None
+        if self.tags[1].startswith("ptype:"):
+            digits = self.tags[1][len("ptype:"):]
+            try:
+                if not re.fullmatch(r"-?[0-9]+", digits):
+                    raise ValueError(digits)
+                level = int(digits)  # raises past the interpreter's digit limit
+            except ValueError:
+                raise InputError("a ptype: level must be a decimal integer within the "
+                                 f"interpreter's digit limit, got {digits[:20]!r}") from None
+        object.__setattr__(self, "ptype_level", level)
 
 
 @dataclass(frozen=True)
@@ -283,10 +300,8 @@ def is_homotopy_cartesian(section) -> Certificate:
         checks = [_replaced_weq(m, i, "structure_map_weq")
                   for i, m in enumerate(section.structure_maps)]
         return bundle("homotopy_cartesian", checks)
-    tag = section.tags[1]
-    level = int(tag.split(":", 1)[1]) if tag.startswith("ptype:") else None
-    checks = [_replaced_weq(section.left, level, "left_leg_weq"),
-              _replaced_weq(section.right, level, "right_leg_weq")]
+    checks = [_replaced_weq(section.left, section.ptype_level, "left_leg_weq"),
+              _replaced_weq(section.right, section.ptype_level, "right_leg_weq")]
     return bundle("homotopy_cartesian", checks)
 
 

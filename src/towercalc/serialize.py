@@ -14,7 +14,7 @@ import re
 import sys
 
 from .complexes import ChainComplex, ChainMap
-from .errors import IllFormedMap, ParseError, ValidationError
+from .errors import IllFormedMap, InputError, ParseError, ValidationError
 from .exactalg import IntegerMatrix, Presentation
 from .sections import CospanSection, TowerSection
 
@@ -35,13 +35,13 @@ def _count(value, where: str) -> int:
     return value
 
 
-def _decimal(value, where: str, noun: str) -> int:
+def _entry(value, where: str) -> int:
     if not isinstance(value, str) or not _INT.match(value):
-        raise ParseError(where, f"{noun} must be a decimal string, got {value!r}")
+        raise ParseError(where, f"matrix entry must be a decimal string, got {value!r}")
     try:
         return int(value)
     except ValueError:
-        raise ParseError(where, f"{noun} has {len(value.lstrip('-'))} digits, over the "
+        raise ParseError(where, f"matrix entry has {len(value.lstrip('-'))} digits, over the "
                                 f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
 
 
@@ -54,8 +54,7 @@ def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]", f"expected a row of {cols} entries")
-        flat.extend(_decimal(e, f"{where}[{i}][{j}]", "matrix entry")
-                    for j, e in enumerate(row))
+        flat.extend(_entry(e, f"{where}[{i}][{j}]") for j, e in enumerate(row))
     return IntegerMatrix(rows, cols, tuple(flat))
 
 
@@ -81,8 +80,9 @@ def complex_from_doc(doc: dict, where: str = "complex") -> ChainComplex:
         rel_doc = _need(deg, "relations", spot)
         if not isinstance(rel_doc, list):
             raise ParseError(f"{spot}.relations", "expected an array of rows")
+        # a document lists one relation per row; a Presentation holds columns
         rel = matrix_from_doc(rel_doc, len(rel_doc), gens, f"{spot}.relations")
-        presentations.append(Presentation(gens, rel))
+        presentations.append(Presentation(gens, rel.transpose()))
     diffs_doc = _need(doc, "differentials", where)
     if not isinstance(diffs_doc, list) or len(diffs_doc) != max(0, len(presentations) - 1):
         raise ParseError(f"{where}.differentials",
@@ -99,7 +99,8 @@ def complex_to_doc(x: ChainComplex, name: str, metadata: dict | None = None) -> 
     doc = {
         "name": name,
         "min_degree": x.min_deg,
-        "degrees": [{"generators": p.generators, "relations": matrix_to_doc(p.relations)}
+        "degrees": [{"generators": p.generators,
+                     "relations": matrix_to_doc(p.relations.transpose())}
                     for p in x.degrees],
         "differentials": [matrix_to_doc(d) for d in x.differentials],
     }
@@ -170,13 +171,13 @@ def cospan_from_doc(doc: dict, where: str = "cospan") -> CospanSection:
     if (not isinstance(tags, list) or len(tags) != 3
             or not all(isinstance(t, str) for t in tags)):
         raise ParseError(f"{where}.tags", "expected three tag strings")
-    if tags[1].startswith("ptype:"):
-        _decimal(tags[1][len("ptype:"):], f"{where}.tags[1]", "a ptype: level")
     try:
         return CospanSection(vertices["x1"], vertices["x0"], vertices["x2"],
                              left, right, tags=tuple(tags))
     except IllFormedMap as err:
         raise ValidationError(where, str(err)) from err
+    except InputError as err:  # only the ptype: level of the middle tag
+        raise ParseError(f"{where}.tags[1]", str(err)) from err
 
 
 def cospan_to_doc(s: CospanSection) -> dict:

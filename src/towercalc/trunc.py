@@ -19,7 +19,7 @@ from .complexes import (
     les_certificate,
     zero_complex,
 )
-from .exactalg import IntegerMatrix, Presentation, preimage_lattice, solve_matrix, subgroup_presentation
+from .exactalg import IntegerMatrix, preimage_lattice, solve_matrix, subgroup_presentation
 
 
 def postnikov_section(x: ChainComplex, n: int):
@@ -29,12 +29,8 @@ def postnikov_section(x: ChainComplex, n: int):
         p = zero_complex()
         return p, ChainMap.zero_map(x, p)
     cut = min(n, x.top_deg)
-    degs = list(x.degrees[: cut - x.min_deg])
-    boundary_rows = x.diff_at(cut + 1).transpose()
-    top_pres = x.pres_at(cut)
-    degs.append(Presentation(top_pres.generators,
-                             top_pres.relations.vstack(boundary_rows)))
-    p = ChainComplex(x.min_deg, tuple(degs), x.differentials[: cut - x.min_deg])
+    degs = x.degrees[: cut - x.min_deg] + (x.pres_at(cut).quotient(x.diff_at(cut + 1)),)
+    p = ChainComplex(x.min_deg, degs, x.differentials[: cut - x.min_deg])
     comps = []
     for i in x.span():
         g = x.pres_at(i).generators
@@ -71,7 +67,7 @@ def connective_cover(x: ChainComplex, k: int):
     if x.is_zero or k + 1 > x.top_deg:
         c = zero_complex()
         return c, ChainMap.zero_map(c, x)
-    cycles = preimage_lattice(x.diff_at(k + 1), x.pres_at(k).relation_columns())
+    cycles = preimage_lattice(x.diff_at(k + 1), x.pres_at(k).relations)
     bottom_pres, basis = subgroup_presentation(x.pres_at(k + 1), cycles)
     degs = [bottom_pres] + list(x.degrees[k + 2 - x.min_deg:])
     diffs = []

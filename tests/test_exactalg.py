@@ -159,12 +159,12 @@ def _resolution_maps(a: FpAbelianGroup, b: FpAbelianGroup):
     from the canonical two-term resolution Z^k -> Z^n of a."""
     pa = Presentation.of_group(a)
     pb = Presentation.of_group(b)
-    n, k = pa.generators, pa.relations.rows
+    n, k = pa.generators, pa.relations.cols
     bn = _power_presentation(pb, n)
     bk = _power_presentation(pb, k)
     eye = IntegerMatrix.identity(pb.generators)
-    hom_mat = kron(pa.relations, eye)                 # (k g) x (n g)
-    ten_mat = kron(pa.relations.transpose(), eye)     # (n g) x (k g)
+    hom_mat = kron(pa.relations.transpose(), eye)     # (k g) x (n g)
+    ten_mat = kron(pa.relations, eye)                 # (n g) x (k g)
     return GroupMap(bn, bk, hom_mat), GroupMap(bk, bn, ten_mat)
 
 
@@ -299,7 +299,7 @@ def test_snf_against_sympy_and_bareiss(rows):
     diagonal = sympy_snf(Matrix(rows), domain=ZZ)
     theirs = sorted(abs(int(diagonal[i, i])) for i in range(min(m.rows, m.cols)))
     assert sorted(nonzero) == [d for d in theirs if d]
-    assert group_from_presentation.__wrapped__(m) == FpAbelianGroup.from_orders(
+    assert group_from_presentation.__wrapped__(m.transpose()) == FpAbelianGroup.from_orders(
         m.cols - len(nonzero), nonzero)
 
 
@@ -380,7 +380,7 @@ def test_integer_kernel_spans_the_kernel(rows):
 def test_solve_recovers_consistent_systems(rows, xs):
     m = IntegerMatrix.from_rows(rows)
     x = tuple(xs[: m.cols])
-    b = IntegerMatrix.from_cols([m.apply(x)], rows=m.rows)
+    b = m @ IntegerMatrix.from_cols([x], rows=m.cols)
     got = solve_matrix(m, b)
     assert got is not None
     assert m @ got == b
@@ -414,7 +414,7 @@ def test_preimage_lattice_defining_property(rows, v):
     lat = preimage_lattice(m, rel)
     vec = IntegerMatrix.from_cols([v[: m.cols]], rows=m.cols)
     inside = lattice_contains(lat, vec)
-    image_ok = all(x % 2 == 0 for x in m.apply(tuple(v[: m.cols])))
+    image_ok = all(x % 2 == 0 for x in (m @ vec).entries)
     assert inside == image_ok
 
 
@@ -425,9 +425,9 @@ def lattice_problems(draw):
     gens = draw(st.integers(0, 4))
     count = draw(st.sampled_from([0, 0, 1, 2, 3]))
     entries = st.just(0) if draw(st.booleans()) else small_entries
-    rows = draw(st.lists(st.lists(entries, min_size=gens, max_size=gens),
+    rels = draw(st.lists(st.lists(entries, min_size=gens, max_size=gens),
                          min_size=count, max_size=count))
-    relations = IntegerMatrix(count, gens, tuple(e for r in rows for e in r))
+    relations = IntegerMatrix.from_cols(rels, rows=gens)
     entries = st.just(0) if draw(st.booleans()) else small_entries
     cols = draw(st.lists(st.lists(entries, min_size=gens, max_size=gens), max_size=3))
     return Presentation(gens, relations), IntegerMatrix.from_cols(cols, rows=gens)
@@ -437,7 +437,7 @@ def lattice_problems(draw):
 @settings(max_examples=200)
 def test_lattice_shortcuts_agree_with_the_solver(problem):
     pres, vectors = problem
-    lattice = pres.relations.transpose()
+    lattice = pres.relations
     solvable = solve_matrix(lattice, vectors) is not None
     assert lattice_contains(lattice, vectors) == solvable
     assert pres.contains_in_relations(vectors) == solvable
@@ -507,19 +507,19 @@ def test_invariant_chain_is_enforced():
 
 def test_group_from_presentation_frozen_examples():
     # Z^2 / <(2,0)> = Z + Z/2
-    rel = IntegerMatrix.from_rows([[2, 0]])
+    rel = IntegerMatrix.from_cols([[2, 0]], rows=2)
     assert group_from_presentation(rel) == FpAbelianGroup(1, (2,))
     # Z^2 / <(2,4),(6,8)> = Z/2 + Z/4
-    rel2 = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+    rel2 = IntegerMatrix.from_cols([[2, 4], [6, 8]], rows=2)
     assert group_from_presentation(rel2) == FpAbelianGroup(0, (2, 4))
 
 
 @given(matrices())
 @settings(max_examples=100)
 def test_group_from_presentation_matches_minor_oracle(rows):
-    got = group_from_presentation(IntegerMatrix.from_rows(rows))
-    invs = determinantal_invariants(rows)
     cols = len(rows[0])
+    got = group_from_presentation(IntegerMatrix.from_cols(rows, rows=cols))
+    invs = determinantal_invariants(rows)
     expected = FpAbelianGroup.from_orders(cols - len(invs), invs)
     assert got == expected
 
@@ -710,14 +710,14 @@ def test_mittag_leffler_multiplication_tower_never_settles():
 
 def test_mittag_leffler_images_settle_after_one_step():
     # Z/8 <- Z/8+Z/2 <- Z/8+Z/2 <- ... with the Z/2 summand dying each step
-    top = Presentation(2, IntegerMatrix.from_rows([[8, 0], [0, 2]]))
+    top = Presentation(2, IntegerMatrix.from_cols([[8, 0], [0, 2]], rows=2))
     bottom = _cyclic_pres(8)
     head = GroupMap(top, bottom, IntegerMatrix.from_rows([[1, 0]]))
     step = GroupMap(top, top, IntegerMatrix.from_rows([[1, 0], [0, 0]]))
     assert mittag_leffler_diagnostic([head, step, step, step], 3) == 1
     # oracle: explicit image lattices at the second level
-    one_step = step.matrix.hstack(top.relation_columns())
-    two_step = (step.matrix @ step.matrix).hstack(top.relation_columns())
+    one_step = step.matrix.hstack(top.relations)
+    two_step = (step.matrix @ step.matrix).hstack(top.relations)
     expected = IntegerMatrix.from_cols([[1, 0], [0, 2]], rows=2)
     assert lattice_eq(one_step, expected)
     assert lattice_eq(two_step, expected)

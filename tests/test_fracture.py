@@ -192,14 +192,14 @@ def test_reassembly_from_any_covering_partition(rank, orders, split):
 @settings(max_examples=50, deadline=None)
 def test_localizing_a_short_exact_sequence_of_finite_groups(orders, data):
     gens = len(orders)
-    ambient = Presentation(gens, IntegerMatrix.from_rows(
-        [[orders[i] if i == j else 0 for j in range(gens)] for i in range(gens)]))
+    ambient = Presentation(gens, IntegerMatrix.from_cols(
+        [[orders[i] if i == j else 0 for j in range(gens)] for i in range(gens)], rows=gens))
     cols = data.draw(st.lists(
         st.lists(st.integers(-4, 4), min_size=gens, max_size=gens),
         min_size=0, max_size=3))
-    lattice = IntegerMatrix.from_cols(cols, rows=gens).hstack(ambient.relation_columns())
+    lattice = IntegerMatrix.from_cols(cols, rows=gens).hstack(ambient.relations)
     sub_pres, basis = subgroup_presentation(ambient, lattice)
-    quot = Presentation(gens, ambient.relations.vstack(lattice.transpose()))
+    quot = Presentation(gens, ambient.relations.hstack(lattice))
     incl = GroupMap(sub_pres, ambient, basis)
     proj = GroupMap(ambient, quot, IntegerMatrix.identity(gens))
     ok, reason = is_exact_pair(incl, proj)

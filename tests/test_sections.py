@@ -22,7 +22,7 @@ from towercalc.complexes import (
     sphere_complex,
     zero_complex,
 )
-from towercalc.errors import IllFormedMap
+from towercalc.errors import IllFormedMap, InputError
 from towercalc.exactalg import FpAbelianGroup, IntegerMatrix, Presentation
 from towercalc.sections import (
     CospanSection,
@@ -272,6 +272,16 @@ def test_homotopy_cartesian_cospan_fails_on_a_dead_leg():
     cert = is_homotopy_cartesian(cospan)
     assert not cert.passed
     assert cert.failures()[0].check == "left_leg_weq"
+
+
+def test_cospan_derives_its_ptype_level_once():
+    x = sphere_complex(0)
+    i = ChainMap.identity(x)
+    for level in ("x", "", "1.5", "+1", " 1", "1_0", "7" * 5000):
+        with pytest.raises(InputError):
+            CospanSection(x, x, x, i, i, ("plain", f"ptype:{level}", "plain"))
+    assert CospanSection(x, x, x, i, i, ("plain", "ptype:-2", "plain")).ptype_level == -2
+    assert CospanSection(x, x, x, i, i, ("plain", "rational", "plain")).ptype_level is None
 
 
 # ---------------------------------------------------------------------------

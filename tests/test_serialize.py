@@ -22,6 +22,7 @@ from towercalc.serialize import (
     tower_from_doc,
     tower_to_doc,
 )
+from towercalc.trunc import postnikov_section
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,9 +53,26 @@ def test_complex_file_round_trip(tmp_path):
     for seed in range(25):
         doc = generate(seed)
         x = complex_from_doc(doc)
-        path = tmp_path / f"c{seed}.json"
-        save(x, path, name=doc["name"])
-        assert load(path) == x
+        # the section's top degree carries the incoming boundaries as relations
+        section, _ = postnikov_section(x, x.min_deg)
+        for obj in (x, section):
+            path = tmp_path / f"c{seed}.json"
+            save(obj, path, name=doc["name"])
+            assert load(path) == obj
+
+
+def test_relations_list_one_relation_per_row():
+    # Z^2 / <2a + b, 2b> is Z/4 on a, and d sends the free generator to
+    # a + 2b = -3a, a generator: H_0 = 0, H_1 = Z.  Read as columns, the
+    # relations would kill a + 2b itself and give H_0 = Z/4.
+    doc = {"name": "pinned", "min_degree": 0,
+           "degrees": [{"generators": 2, "relations": [["2", "1"], ["0", "2"]]},
+                       {"generators": 1, "relations": []}],
+           "differentials": [[["1"], ["2"]]]}
+    x = complex_from_doc(doc)
+    assert homology_group(x, 0) == FpAbelianGroup.zero()
+    assert homology_group(x, 1) == FpAbelianGroup.free(1)
+    assert complex_to_doc(x, "pinned") == doc
 
 
 def test_tower_document_round_trip():
