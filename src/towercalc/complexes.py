@@ -7,9 +7,27 @@ zero.  Construction validates everything that can silently poison downstream
 certificates: differential shapes, well-definedness modulo relations, and
 d^2 = 0 modulo relations.
 
-Homology data is cached per (complex, degree) pair, keeping the
-CACHE_MAXSIZE most recently used pairs; all values are immutable, so an
-evicted pair is simply recomputed to an equal value.
+Caches
+------
+Every object here is a frozen dataclass compared by structure, and every
+cached function is a pure function of such arguments that returns such
+values.  So an equal key may come from another caller's equal complex, the
+value handed back is shared without risk, and an evicted entry is simply
+recomputed to an equal value.  Each object is validated once, when it is
+first built; a hit builds nothing.
+
+- `homology_data`, keyed by (complex, degree), keeps CACHE_MAXSIZE entries,
+  like the Smith-form and group caches in `exactalg`.
+- The constructions keep BUILD_CACHE_MAXSIZE entries each, because their
+  reuse happens within one complex's battery of checks: `induced_map`,
+  `degreewise_kernel` and the general case of `cofibrant_replacement` here,
+  `postnikov_section` and `connective_cover` in `trunc`,
+  `hofib_factorization` in `hofib`, `tower_limit` in `holim`, and the
+  shared `IntegerMatrix.zero`, `IntegerMatrix.identity` and
+  `Presentation.free` in `exactalg`.
+- A branch that hands back the caller's own complex runs before the cache
+  (`cofibrant_replacement` of a free complex, `connective_cover` below the
+  window), so it still returns that very object.
 """
 from __future__ import annotations
 
@@ -19,12 +37,14 @@ from functools import lru_cache
 from .certificates import Certificate, bundle, failed, passed
 from .errors import IllFormedMap, TorsionSource, ValidationError
 from .exactalg import (
+    BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
     FpAbelianGroup,
     GroupMap,
     IntegerMatrix,
     Presentation,
     block_diag,
+    column_basis,
     is_exact_pair,
     preimage_lattice,
     solve_matrix,
@@ -291,6 +311,7 @@ def homology(x: ChainComplex) -> HomologyProfile:
     return HomologyProfile.of((i, homology_group(x, i)) for i in x.span())
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def induced_map(f: ChainMap, i: int) -> GroupMap:
     """H_i(f) between the cached homology presentations."""
     hx = homology_data(f.source, i)
@@ -488,6 +509,7 @@ def pullback_induced_map(p1: ChainMap, p2: ChainMap, f: ChainMap, g: ChainMap) -
     return ChainMap(w, pb, tuple(comps))
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def degreewise_kernel(f: ChainMap):
     """(K, inclusion) with K_i the kernel of f_i as a subgroup of source_i."""
     x = f.source
@@ -579,12 +601,15 @@ def cofibrant_replacement(x: ChainComplex):
     general case is the bounded-below stepwise free approximation: start from
     the free group on the bottom generators, then in each next degree adjoin
     one generator per cycle of X (to keep homology surjective) and one per
-    kernel class downstairs (to make it injective)."""
+    kernel class downstairs (to make it injective).  Only the general case
+    is cached, so a free complex comes back as the caller's own object."""
     if x.is_degreewise_free:
         return x, ChainMap.identity(x)
-    if x.is_zero:
-        return x, ChainMap.identity(x)
+    return _free_approximation(x)
 
+
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
+def _free_approximation(x: ChainComplex):
     f_gens = [x.degrees[0].generators]
     f_diffs: list[IntegerMatrix] = []
     q_comps = [IntegerMatrix.identity(f_gens[0])]
@@ -598,12 +623,13 @@ def cofibrant_replacement(x: ChainComplex):
         df_prev = f_diffs[-1] if f_diffs else IntegerMatrix.zero(0, prev_gens)
         boundaries = dn.hstack(rel_below)
         zero_over_boundaries = IntegerMatrix.zero(df_prev.rows, boundaries.cols).vstack(boundaries)
-        killers = preimage_lattice(df_prev.vstack(q_comps[-1]), zero_over_boundaries)
+        killers = column_basis(preimage_lattice(df_prev.vstack(q_comps[-1]),
+                                                zero_over_boundaries))
         witnesses = solve_matrix(boundaries, q_comps[-1] @ killers)
         assert witnesses is not None
         witness_cols = witnesses.take_rows(0, dn.cols).columns()
         # cycles of X at degree n, one new free generator each
-        zn = preimage_lattice(dn, rel_below)
+        zn = column_basis(preimage_lattice(dn, rel_below))
         count = killers.cols + zn.cols
         f_gens.append(count)
         d_cols = list(killers.columns()) + [(0,) * prev_gens] * zn.cols

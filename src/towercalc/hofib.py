@@ -6,8 +6,14 @@ fiber of the truncation into an honest degreewise kernel.  The checks here
 certify that this kernel is the connective cover, that the comparison map
 into the factorization is a quasi-isomorphism, and that cutting one degree
 deeper leaves a single homology group — the layer.
+
+`hofib_factorization` is cached like the truncations it is built from
+(BUILD_CACHE_MAXSIZE entries; see `complexes`), so the counit and layer
+checks of one complex share each factorization.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import (
@@ -23,7 +29,7 @@ from .complexes import (
     zero_complex,
 )
 from .errors import NotCofibrant
-from .exactalg import IntegerMatrix, Presentation, block_diag
+from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, Presentation, block_diag
 from .sections import CospanSection
 from .trunc import connective_cover, is_Pn_weq, layer, postnikov_section
 
@@ -54,6 +60,7 @@ def _disk_cover(p: ChainComplex) -> ChainMap:
                                     for n in disks.span()))
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def hofib_factorization(x: ChainComplex, k: int):
     """(incl, proj): X -> X' -> P_kX.
 

@@ -13,6 +13,7 @@ exactly when truncation commutes with Hom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import (
@@ -29,6 +30,7 @@ from .complexes import (
 )
 from .errors import TorsionSource
 from .exactalg import (
+    BUILD_CACHE_MAXSIZE,
     FpAbelianGroup,
     GroupMap,
     ext_group,
@@ -39,10 +41,12 @@ from .sections import TowerSection, postnikov_tower
 from .trunc import postnikov_section
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def tower_limit(t: TowerSection):
     """(limit, projections): the top level of the tower, which it equals
     from `t.stabilization` on, together with the canonical map onto every
-    level (composites of the structure maps)."""
+    level (composites of the structure maps).  Cached: `milnor_check` asks
+    for the same tower's limit once per degree."""
     limit = t.level(t.length)
     projections = []
     current = ChainMap.identity(limit)

@@ -82,8 +82,9 @@ class CospanSection:
     listed in the order (x1, x0, x2).
 
     `ptype_level` is derived at construction: n when the middle tag is
-    `ptype:n`, None for any other middle tag.  A `ptype:` tag whose level is
-    not a decimal integer the interpreter converts raises InputError."""
+    `ptype:n`, None for any other middle tag.  A tag that is not a string,
+    or a `ptype:` tag whose level is not a decimal integer the interpreter
+    converts, raises InputError."""
 
     x1: ChainComplex
     x0: ChainComplex
@@ -101,6 +102,9 @@ class CospanSection:
             raise IllFormedMap("right leg must map x2 to x0")
         if len(self.tags) != 3:
             raise IllFormedMap("one localization tag per vertex required")
+        for pos, tag in enumerate(self.tags):
+            if not isinstance(tag, str):
+                raise InputError(f"tag {pos} must be a string, got {type(tag).__name__}")
         level = None
         if self.tags[1].startswith("ptype:"):
             digits = self.tags[1][len("ptype:"):]

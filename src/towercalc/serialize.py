@@ -18,7 +18,7 @@ from .errors import IllFormedMap, InputError, ParseError, ValidationError
 from .exactalg import IntegerMatrix, Presentation
 from .sections import CospanSection, TowerSection
 
-_INT = re.compile(r"^-?[0-9]+$")
+_INT = re.compile(r"-?[0-9]+")
 
 
 def _need(doc: dict, key: str, where: str):
@@ -36,7 +36,7 @@ def _count(value, where: str) -> int:
 
 
 def _entry(value, where: str) -> int:
-    if not isinstance(value, str) or not _INT.match(value):
+    if not isinstance(value, str) or not _INT.fullmatch(value):
         raise ParseError(where, f"matrix entry must be a decimal string, got {value!r}")
     try:
         return int(value)

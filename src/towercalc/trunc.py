@@ -5,8 +5,14 @@ the incoming boundaries; ``connective_cover(X, k)`` kills homology at or
 below k by restricting degree k+1 to the cycles.  The two fit into a
 degreewise short exact sequence whose long exact homology sequence is checked
 spot by spot, not assumed.
+
+Both constructions are cached (BUILD_CACHE_MAXSIZE entries each; see
+`complexes` for why sharing is safe), so the checks that truncate the same
+complex at the same cut build and validate each section and cover once.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import (
@@ -19,9 +25,16 @@ from .complexes import (
     les_certificate,
     zero_complex,
 )
-from .exactalg import IntegerMatrix, preimage_lattice, solve_matrix, subgroup_presentation
+from .exactalg import (
+    BUILD_CACHE_MAXSIZE,
+    IntegerMatrix,
+    preimage_lattice,
+    solve_matrix,
+    subgroup_presentation,
+)
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def postnikov_section(x: ChainComplex, n: int):
     """(P, q): degrees above n dropped, degree n quotiented by boundaries,
     q the degreewise quotient map.  H_i(P) = H_i(X) for i <= n, zero above."""
@@ -61,9 +74,17 @@ def is_Pn_weq(f: ChainMap, n: int) -> Certificate:
 
 def connective_cover(x: ChainComplex, k: int):
     """(C, j): degrees at or below k dropped, degree k+1 restricted to the
-    cycles, j the evident inclusion.  H_i(C) = H_i(X) for i > k, zero below."""
+    cycles, j the evident inclusion.  H_i(C) = H_i(X) for i > k, zero below.
+
+    Below the window X is its own cover and comes back as the caller's own
+    object; every other cover is cached."""
     if k < x.min_deg:
         return x, ChainMap.identity(x)
+    return _cover_at(x, k)
+
+
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
+def _cover_at(x: ChainComplex, k: int):
     if x.is_zero or k + 1 > x.top_deg:
         c = zero_complex()
         return c, ChainMap.zero_map(c, x)

@@ -1,0 +1,79 @@
+"""Tests for the construction caches: a cached truncation, cover, fiber
+factorization, free replacement, kernel, induced map or tower limit equals a
+fresh build, and a second check at the same cut rebuilds none of them.
+"""
+
+import random
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from towercalc import complexes, trunc
+from towercalc.complexes import (
+    ChainMap,
+    cofibrant_replacement,
+    degreewise_kernel,
+    direct_sum,
+    induced_map,
+    moore_complex,
+    sphere_complex,
+)
+from towercalc.exactalg import IntegerMatrix, Presentation
+from towercalc.gen import random_complex
+from towercalc.hofib import derived_counit_check, hofib_factorization
+from towercalc.holim import tower_limit
+from towercalc.sections import postnikov_tower
+from towercalc.trunc import connective_cover, fiber_sequence_check, postnikov_section
+
+
+def test_a_second_check_at_a_cut_rebuilds_no_section_or_cover(monkeypatch):
+    x = direct_sum(moore_complex(6, 0), sphere_complex(1))
+    k = 0
+    assert fiber_sequence_check(x, k).passed
+    built = []
+    check = ChainMap.__post_init__
+
+    def counted(self):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_globals.get("__name__") == trunc.__name__:
+                built.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+        check(self)
+
+    monkeypatch.setattr(ChainMap, "__post_init__", counted)
+    assert derived_counit_check(x, k).passed
+    assert built == []
+
+
+def _assert_fresh(cache, call):
+    """The value `call` gets, possibly from an earlier equal key, equals the
+    value it gets once `cache` has been emptied."""
+    first = call()
+    cache.cache_clear()
+    assert call() == first
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_cached_constructors_return_what_a_fresh_build_returns(seed):
+    x = random_complex(random.Random(seed))
+    for k in range(x.min_deg - 1, x.top_deg + 1):
+        _assert_fresh(postnikov_section, lambda: postnikov_section(x, k))
+        _assert_fresh(trunc._cover_at, lambda: connective_cover(x, k))
+        _assert_fresh(hofib_factorization, lambda: hofib_factorization(x, k))
+        section, q = postnikov_section(x, k)
+        _assert_fresh(complexes._free_approximation, lambda: cofibrant_replacement(section))
+        _, proj = hofib_factorization(x, k)
+        _assert_fresh(degreewise_kernel, lambda: degreewise_kernel(proj))
+        for i in x.span():
+            _assert_fresh(induced_map, lambda: induced_map(q, i))
+    tower = postnikov_tower(x, max(x.top_deg, 0))
+    _assert_fresh(tower_limit, lambda: tower_limit(tower))
+    for n in x.span():
+        g = x.pres_at(n).generators
+        _assert_fresh(IntegerMatrix.zero, lambda: IntegerMatrix.zero(g, g + 1))
+        _assert_fresh(IntegerMatrix.identity, lambda: IntegerMatrix.identity(g))
+        _assert_fresh(Presentation.free, lambda: Presentation.free(g))

@@ -7,10 +7,14 @@ expected homology is always known in closed form independently of the
 homology engine under test.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import towercalc
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
@@ -38,6 +42,7 @@ from towercalc.complexes import (
 )
 from towercalc.errors import IllFormedMap, TorsionSource, ValidationError
 from towercalc.exactalg import (
+    BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
     FpAbelianGroup,
     GroupMap,
@@ -46,8 +51,8 @@ from towercalc.exactalg import (
     ext_group,
     hom_group,
     kernel_image_cokernel,
-    smith_normal_form,
 )
+from towercalc.trunc import connective_cover, postnikov_section
 
 # ---------------------------------------------------------------------------
 # instance builders with closed-form homology
@@ -149,15 +154,39 @@ def test_homology_of_elementary_sums(pieces):
     assert homology(cx) == expected
 
 
+def _caches():
+    """Every cache_info-bearing callable of the towercalc modules, module
+    functions and class attributes alike, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(towercalc.__path__):
+        mod = importlib.import_module(f"towercalc.{info.name}")
+        for obj in vars(mod).values():
+            members = [obj]
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                members = [getattr(m, "__func__", m) for m in vars(obj).values()]
+            for fn in members:
+                if hasattr(fn, "cache_info"):
+                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
 def test_normal_form_caches_are_bounded():
-    assert smith_normal_form.cache_info().maxsize == CACHE_MAXSIZE
-    assert homology_data.cache_info().maxsize == CACHE_MAXSIZE
+    caches = _caches()
+    assert {"towercalc.exactalg.smith_normal_form", "towercalc.complexes.homology_data",
+            "towercalc.trunc.postnikov_section", "towercalc.exactalg.IntegerMatrix.zero",
+            "towercalc.exactalg.Presentation.free"} <= set(caches)
+    for name, fn in caches.items():
+        assert fn.cache_info().maxsize in (CACHE_MAXSIZE, BUILD_CACHE_MAXSIZE), name
     first = moore_complex(2, 0)
     want = homology_data(first, 0)
     for t in range(3, CACHE_MAXSIZE + 50):
-        homology_data(moore_complex(t, 0), 0)
-    assert homology_data.cache_info().currsize <= CACHE_MAXSIZE
-    assert smith_normal_form.cache_info().currsize <= CACHE_MAXSIZE
+        x = moore_complex(t, 0)
+        homology_data(x, 0)
+        induced_map(postnikov_section(x, 0)[1], 0)
+        connective_cover(x, 0)
+    for name, fn in caches.items():
+        info = fn.cache_info()
+        assert info.currsize <= info.maxsize, name
     misses = homology_data.cache_info().misses
     assert homology_data(first, 0) == want
     assert homology_data.cache_info().misses == misses + 1  # it had been evicted

@@ -280,6 +280,8 @@ def test_cospan_derives_its_ptype_level_once():
     for level in ("x", "", "1.5", "+1", " 1", "1_0", "7" * 5000):
         with pytest.raises(InputError):
             CospanSection(x, x, x, i, i, ("plain", f"ptype:{level}", "plain"))
+    with pytest.raises(InputError):
+        CospanSection(x, x, x, i, i, ("plain", 3, "plain"))
     assert CospanSection(x, x, x, i, i, ("plain", "ptype:-2", "plain")).ptype_level == -2
     assert CospanSection(x, x, x, i, i, ("plain", "rational", "plain")).ptype_level is None
 

@@ -118,6 +118,8 @@ def test_entries_must_be_decimal_strings():
         matrix_from_doc([["six"]], 1, 1, "m")
     with pytest.raises(ParseError):
         matrix_from_doc([["6", "7"]], 1, 1, "m")
+    with pytest.raises(ParseError):
+        matrix_from_doc([["5\n"]], 1, 1, "m")
 
 
 def test_matrix_locations_name_the_entry():
