@@ -25,6 +25,14 @@ first built; a hit builds nothing.
   `hofib_factorization` in `hofib`, `tower_limit` in `holim`, and the
   shared `IntegerMatrix.zero`, `IntegerMatrix.identity` and
   `Presentation.free` in `exactalg`.
+- The lattice memos `solve_matrix`, `preimage_lattice`, `column_basis` and
+  `subquotient` in `exactalg` keep BUILD_CACHE_MAXSIZE entries too: the
+  homology and kernel computations of one battery repeat most of their
+  lattice problems.
+- Validation skips no check that can fail, only ones already decided: a
+  relation check is skipped when the source presentation has no relation
+  columns (nothing to carry), and a square's lattice test runs only when
+  its two sides differ as matrices.
 - A branch that hands back the caller's own complex runs before the cache
   (`cofibrant_replacement` of a free complex, `connective_cover` below the
   window), so it still returns that very object.
@@ -100,8 +108,8 @@ class ChainComplex:
         object.__setattr__(self, "differentials", diffs)
 
         for j, d in enumerate(diffs):
-            carried = d @ degs[j + 1].relations
-            if not degs[j].contains_in_relations(carried):
+            rel = degs[j + 1].relations  # with no relation columns there is nothing to carry
+            if rel.cols and not degs[j].contains_in_relations(d @ rel):
                 raise ValidationError(
                     f"degree {mn + j + 1}",
                     "differential does not carry relations into relations")
@@ -196,13 +204,15 @@ class ChainMap:
                 raise IllFormedMap(
                     f"component at degree {i} has shape {f.rows}x{f.cols}, "
                     f"expected {tp.generators}x{sp.generators}")
-            if not tp.contains_in_relations(f @ sp.relations):
+            if sp.relations.cols and not tp.contains_in_relations(f @ sp.relations):
                 raise IllFormedMap(f"component at degree {i} does not respect relations")
         lo = min(self.source.min_deg, self.target.min_deg)
         hi = max(self.source.top_deg, self.target.top_deg)
         for i in range(lo + 1, hi + 1):
             walk_down = self.component_at(i - 1) @ self.source.diff_at(i)
             push_down = self.target.diff_at(i) @ self.component_at(i)
+            if walk_down == push_down:  # commutes on the nose
+                continue
             if not self.target.pres_at(i - 1).contains_in_relations(walk_down - push_down):
                 raise IllFormedMap(f"square at degree {i} does not commute")
 

@@ -22,7 +22,7 @@ from .complexes import (
     cofibrant_replacement,
     cotuple,
     degreewise_kernel,
-    direct_sum_map,
+    direct_sum,
     homology,
     homology_group,
     is_quasi_iso,
@@ -71,7 +71,12 @@ def hofib_factorization(x: ChainComplex, k: int):
     _require_free(x)
     p, q = postnikov_section(x, k)
     cover = _disk_cover(p)
-    incl = direct_sum_map(ChainMap.identity(x), ChainMap.zero_map(zero_complex(), cover.source))
+    disks = cover.source
+    # x is the first summand of x + disks, built as one map
+    incl = ChainMap(x, direct_sum(x, disks), tuple(
+        IntegerMatrix.identity(d.generators).vstack(
+            IntegerMatrix.zero(disks.pres_at(i).generators, d.generators))
+        for i, d in zip(x.span(), x.degrees)))
     return incl, cotuple(q, cover)
 
 

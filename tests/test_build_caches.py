@@ -1,6 +1,7 @@
-"""Tests for the construction caches: a cached truncation, cover, fiber
-factorization, free replacement, kernel, induced map or tower limit equals a
-fresh build, and a second check at the same cut rebuilds none of them.
+"""Tests for the construction and lattice caches: a cached truncation, cover,
+fiber factorization, free replacement, kernel, induced map, tower limit,
+solve, preimage lattice, lattice basis or subquotient equals a fresh
+computation, and a second check at the same cut rebuilds none of them.
 """
 
 import random
@@ -19,7 +20,14 @@ from towercalc.complexes import (
     moore_complex,
     sphere_complex,
 )
-from towercalc.exactalg import IntegerMatrix, Presentation
+from towercalc.exactalg import (
+    IntegerMatrix,
+    Presentation,
+    column_basis,
+    preimage_lattice,
+    solve_matrix,
+    subquotient,
+)
 from towercalc.gen import random_complex
 from towercalc.hofib import derived_counit_check, hofib_factorization
 from towercalc.holim import tower_limit
@@ -46,6 +54,15 @@ def test_a_second_check_at_a_cut_rebuilds_no_section_or_cover(monkeypatch):
     monkeypatch.setattr(ChainMap, "__post_init__", counted)
     assert derived_counit_check(x, k).passed
     assert built == []
+
+
+def test_a_second_fiber_check_at_a_cut_solves_no_lattice_again():
+    x = direct_sum(moore_complex(6, 0), sphere_complex(1))
+    assert fiber_sequence_check(x, 0).passed
+    solves, preimages = solve_matrix.cache_info().misses, preimage_lattice.cache_info().misses
+    assert fiber_sequence_check(x, 0).passed
+    assert solve_matrix.cache_info().misses == solves
+    assert preimage_lattice.cache_info().misses == preimages
 
 
 def _assert_fresh(cache, call):
@@ -77,3 +94,14 @@ def test_cached_constructors_return_what_a_fresh_build_returns(seed):
         _assert_fresh(IntegerMatrix.zero, lambda: IntegerMatrix.zero(g, g + 1))
         _assert_fresh(IntegerMatrix.identity, lambda: IntegerMatrix.identity(g))
         _assert_fresh(Presentation.free, lambda: Presentation.free(g))
+        d, rel = x.diff_at(n), x.pres_at(n - 1).relations
+        _assert_fresh(solve_matrix, lambda: solve_matrix(d, d))
+        if not d.is_zero:
+            # a nonzero lattice is never inside twice itself
+            assert solve_matrix(d.scale(2), d) is None
+            _assert_fresh(solve_matrix, lambda: solve_matrix(d.scale(2), d))
+        _assert_fresh(preimage_lattice, lambda: preimage_lattice(d, rel))
+        _assert_fresh(column_basis, lambda: column_basis(d.hstack(rel)))
+        cycles = preimage_lattice(d, rel)
+        boundaries = x.diff_at(n + 1).hstack(x.pres_at(n).relations)
+        _assert_fresh(subquotient, lambda: subquotient(cycles, boundaries))

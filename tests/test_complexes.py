@@ -7,14 +7,11 @@ expected homology is always known in closed form independently of the
 homology engine under test.
 """
 
-import importlib
-import pkgutil
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import towercalc
+from conftest import all_caches
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
@@ -107,6 +104,9 @@ def test_relation_breaking_differential_is_rejected():
     z2 = Presentation(1, IntegerMatrix.from_rows([[2]]))
     with pytest.raises(ValidationError):
         ChainComplex(0, (z3, z2), (IntegerMatrix.from_rows([[1]]),))
+    # only a relation-free source skips the check, never a relation-free target
+    with pytest.raises(ValidationError):
+        ChainComplex(0, (Presentation.free(1), z2), (IntegerMatrix.from_rows([[1]]),))
 
 
 def test_zero_degree_windows_are_stripped():
@@ -124,6 +124,13 @@ def test_chain_map_commutation_is_enforced():
         # disk -> sphere(0) "collapse" does not commute with d
         ChainMap(disk_complex(1), sphere_complex(0),
                  (IntegerMatrix.identity(1), IntegerMatrix.zero(0, 1)))
+
+
+def test_relation_breaking_chain_map_is_rejected():
+    z2 = ChainComplex(0, (Presentation(1, IntegerMatrix.from_rows([[2]])),), ())
+    with pytest.raises(IllFormedMap):
+        ChainMap(z2, sphere_complex(0), (IntegerMatrix.identity(1),))
+    ChainMap(z2, z2, (IntegerMatrix.from_rows([[3]]),))
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +161,13 @@ def test_homology_of_elementary_sums(pieces):
     assert homology(cx) == expected
 
 
-def _caches():
-    """Every cache_info-bearing callable of the towercalc modules, module
-    functions and class attributes alike, by qualified name."""
-    found = {}
-    for info in pkgutil.iter_modules(towercalc.__path__):
-        mod = importlib.import_module(f"towercalc.{info.name}")
-        for obj in vars(mod).values():
-            members = [obj]
-            if isinstance(obj, type) and obj.__module__ == mod.__name__:
-                members = [getattr(m, "__func__", m) for m in vars(obj).values()]
-            for fn in members:
-                if hasattr(fn, "cache_info"):
-                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
-    return found
-
-
 def test_normal_form_caches_are_bounded():
-    caches = _caches()
+    caches = all_caches()
     assert {"towercalc.exactalg.smith_normal_form", "towercalc.complexes.homology_data",
             "towercalc.trunc.postnikov_section", "towercalc.exactalg.IntegerMatrix.zero",
-            "towercalc.exactalg.Presentation.free"} <= set(caches)
+            "towercalc.exactalg.Presentation.free", "towercalc.exactalg.solve_matrix",
+            "towercalc.exactalg.preimage_lattice", "towercalc.exactalg.column_basis",
+            "towercalc.exactalg.subquotient"} <= set(caches)
     for name, fn in caches.items():
         assert fn.cache_info().maxsize in (CACHE_MAXSIZE, BUILD_CACHE_MAXSIZE), name
     first = moore_complex(2, 0)

@@ -573,6 +573,8 @@ def test_ill_formed_map_is_rejected():
         GroupMap(z2, z3, IntegerMatrix.from_rows([[1]]))
     with pytest.raises(IllFormedMap):
         GroupMap(z2, z4, IntegerMatrix.from_rows([[1]]))
+    with pytest.raises(IllFormedMap):
+        GroupMap(z2, Presentation.free(1), IntegerMatrix.from_rows([[1]]))
     # doubling Z/2 into Z/4 is fine
     GroupMap(z2, z4, IntegerMatrix.from_rows([[2]]))
 
