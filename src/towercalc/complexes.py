@@ -3,9 +3,29 @@
 Degrees are homological: the differential lowers degree by one.  A complex
 stores a contiguous window of presentations starting at ``min_deg`` together
 with the differentials inside that window; degrees outside the window are
-zero.  Construction validates everything that can silently poison downstream
-certificates: differential shapes, well-definedness modulo relations, and
-d^2 = 0 modulo relations.
+zero.
+
+Validation
+----------
+`ChainComplex`, `ChainMap` and `exactalg.GroupMap` check in two stages:
+`_normalise` makes tuples, strips zero end degrees and checks shapes and
+counts; `_check_lattice` checks, modulo relations, that relations go to
+relations, d^2 = 0 and every square commutes, skipping only checks already
+decided (no relation columns, or a square whose sides are equal matrices).
+The public constructors run both, so documents (`serialize`, `cli`), `gen`
+and user code are checked in full.  Builders here and in `trunc`, `hofib`,
+`holim` and `exactalg` whose results follow from valid inputs use
+`_trusted`, which runs only `_normalise`: identities, sums, composites,
+cones and the like are valid because their inputs are, kernels, pullbacks,
+covers, sections and free replacements solve every differential and map
+exactly against subgroup bases, and an induced map reads exact homology
+coordinates of a chain map.  Maps whose validity is being claimed, or rests
+on a condition nobody checked, stay checked: `pullback_induced_map`,
+`fiber_sequence_check`'s comparison, the maps of `sections` and `fracture`,
+and `connecting_map`, which is well defined only on a degreewise short
+exact pair that `les_certificate` does not verify.  The test suite routes
+`_trusted` through the public constructor, so it re-checks every trusted
+build.
 
 Caches
 ------
@@ -13,8 +33,7 @@ Every object here is a frozen dataclass compared by structure, and every
 cached function is a pure function of such arguments that returns such
 values.  So an equal key may come from another caller's equal complex, the
 value handed back is shared without risk, and an evicted entry is simply
-recomputed to an equal value.  Each object is validated once, when it is
-first built; a hit builds nothing.
+recomputed to an equal value.  A hit builds nothing.
 
 - `homology_data`, keyed by (complex, degree), keeps CACHE_MAXSIZE entries,
   like the Smith-form and group caches in `exactalg`.
@@ -29,10 +48,6 @@ first built; a hit builds nothing.
   `subquotient` in `exactalg` keep BUILD_CACHE_MAXSIZE entries too: the
   homology and kernel computations of one battery repeat most of their
   lattice problems.
-- Validation skips no check that can fail, only ones already decided: a
-  relation check is skipped when the source presentation has no relation
-  columns (nothing to carry), and a square's lattice test runs only when
-  its two sides differ as matrices.
 - A branch that hands back the caller's own complex runs before the cache
   (`cofibrant_replacement` of a free complex, `connective_cover` below the
   window), so it still returns that very object.
@@ -51,6 +66,7 @@ from .exactalg import (
     GroupMap,
     IntegerMatrix,
     Presentation,
+    Trusted,
     block_diag,
     column_basis,
     is_exact_pair,
@@ -73,7 +89,7 @@ def _matrix_from_items(rows: int, cols: int, items) -> IntegerMatrix:
 
 
 @dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Trusted):
     """min_deg plus a contiguous run of degree presentations; differentials[j]
     maps degree min_deg+j+1 to degree min_deg+j on generators."""
 
@@ -81,7 +97,7 @@ class ChainComplex:
     degrees: tuple[Presentation, ...]
     differentials: tuple[IntegerMatrix, ...]
 
-    def __post_init__(self):
+    def _normalise(self):
         degs = tuple(self.degrees)
         diffs = tuple(self.differentials)
         if len(diffs) != max(0, len(degs) - 1):
@@ -107,17 +123,18 @@ class ChainComplex:
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "differentials", diffs)
 
+    def _check_lattice(self):
+        degs, diffs = self.degrees, self.differentials
         for j, d in enumerate(diffs):
             rel = degs[j + 1].relations  # with no relation columns there is nothing to carry
             if rel.cols and not degs[j].contains_in_relations(d @ rel):
                 raise ValidationError(
-                    f"degree {mn + j + 1}",
+                    f"degree {self.min_deg + j + 1}",
                     "differential does not carry relations into relations")
         for j in range(len(diffs) - 1):
-            square = diffs[j] @ diffs[j + 1]
-            if not degs[j].contains_in_relations(square):
+            if not degs[j].contains_in_relations(diffs[j] @ diffs[j + 1]):
                 raise ValidationError(
-                    f"degree {mn + j + 2}", "d composed with d is nonzero")
+                    f"degree {self.min_deg + j + 2}", "d composed with d is nonzero")
 
     # -- shape helpers
 
@@ -183,7 +200,7 @@ def moore_complex(t: int, n: int = 0) -> ChainComplex:
 
 
 @dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Trusted):
     """Degreewise map of complexes; components are stored over the source's
     window (outside it every component is forced zero).  Construction checks
     degreewise well-definedness and commutation with the differentials."""
@@ -192,19 +209,21 @@ class ChainMap:
     target: ChainComplex
     components: tuple[IntegerMatrix, ...]
 
-    def __post_init__(self):
+    def _normalise(self):
         comps = tuple(self.components)
         if len(comps) != len(self.source.degrees):
             raise IllFormedMap("one component per source degree required")
         object.__setattr__(self, "components", comps)
-        for j, f in enumerate(comps):
-            i = self.source.min_deg + j
-            sp, tp = self.source.pres_at(i), self.target.pres_at(i)
+        for i, sp, f in zip(self.source.span(), self.source.degrees, comps):
+            tp = self.target.pres_at(i)
             if f.rows != tp.generators or f.cols != sp.generators:
                 raise IllFormedMap(
                     f"component at degree {i} has shape {f.rows}x{f.cols}, "
                     f"expected {tp.generators}x{sp.generators}")
-            if sp.relations.cols and not tp.contains_in_relations(f @ sp.relations):
+
+    def _check_lattice(self):
+        for i, sp, f in zip(self.source.span(), self.source.degrees, self.components):
+            if sp.relations.cols and not self.target.pres_at(i).contains_in_relations(f @ sp.relations):
                 raise IllFormedMap(f"component at degree {i} does not respect relations")
         lo = min(self.source.min_deg, self.target.min_deg)
         hi = max(self.source.top_deg, self.target.top_deg)
@@ -224,14 +243,13 @@ class ChainMap:
 
     @staticmethod
     def identity(x: ChainComplex) -> "ChainMap":
-        return ChainMap(x, x, tuple(IntegerMatrix.identity(p.generators) for p in x.degrees))
+        return ChainMap._trusted(x, x, tuple(IntegerMatrix.identity(p.generators) for p in x.degrees))
 
     @staticmethod
     def zero_map(source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        return ChainMap(source, target,
-                        tuple(IntegerMatrix.zero(target.pres_at(source.min_deg + j).generators,
-                                                 p.generators)
-                              for j, p in enumerate(source.degrees)))
+        return ChainMap._trusted(source, target, tuple(
+            IntegerMatrix.zero(target.pres_at(i).generators, source.pres_at(i).generators)
+            for i in source.span()))
 
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self after inner."""
@@ -239,7 +257,7 @@ class ChainMap:
             raise IllFormedMap("composition mismatch")
         comps = tuple(self.component_at(inner.source.min_deg + j) @ f
                       for j, f in enumerate(inner.components))
-        return ChainMap(inner.source, self.target, comps)
+        return ChainMap._trusted(inner.source, self.target, comps)
 
 
 def chain_maps_agree(f: ChainMap, g: ChainMap) -> bool:
@@ -327,7 +345,7 @@ def induced_map(f: ChainMap, i: int) -> GroupMap:
     hx = homology_data(f.source, i)
     hy = homology_data(f.target, i)
     pushed = f.component_at(i) @ hx.basis
-    return GroupMap(hx.presentation, hy.presentation, hy.coords_of(pushed))
+    return GroupMap._trusted(hx.presentation, hy.presentation, hy.coords_of(pushed))
 
 
 def is_quasi_iso(f: ChainMap) -> Certificate:
@@ -351,8 +369,7 @@ def shift(x: ChainComplex, n: int) -> ChainComplex:
     """Suspension: degree i of the result is degree i-n of x; differentials
     pick up the usual (-1)^n sign."""
     sign = -1 if n % 2 else 1
-    return ChainComplex(x.min_deg + n, x.degrees,
-                        tuple(d.scale(sign) for d in x.differentials))
+    return ChainComplex._trusted(x.min_deg + n, x.degrees, tuple(d.scale(sign) for d in x.differentials))
 
 
 def direct_sum(x: ChainComplex, y: ChainComplex) -> ChainComplex:
@@ -364,7 +381,7 @@ def direct_sum(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     hi = max(x.top_deg, y.top_deg)
     degs = tuple(x.pres_at(i).direct_sum(y.pres_at(i)) for i in range(lo, hi + 1))
     diffs = tuple(block_diag(x.diff_at(i), y.diff_at(i)) for i in range(lo + 1, hi + 1))
-    return ChainComplex(lo, degs, diffs)
+    return ChainComplex._trusted(lo, degs, diffs)
 
 
 def direct_sum_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -372,7 +389,7 @@ def direct_sum_map(f: ChainMap, g: ChainMap) -> ChainMap:
     source = direct_sum(f.source, g.source)
     target = direct_sum(f.target, g.target)
     comps = tuple(block_diag(f.component_at(i), g.component_at(i)) for i in source.span())
-    return ChainMap(source, target, comps)
+    return ChainMap._trusted(source, target, comps)
 
 
 def cotuple(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -381,7 +398,7 @@ def cotuple(f: ChainMap, g: ChainMap) -> ChainMap:
         raise IllFormedMap("cotuple needs a shared target")
     source = direct_sum(f.source, g.source)
     comps = tuple(f.component_at(i).hstack(g.component_at(i)) for i in source.span())
-    return ChainMap(source, f.target, comps)
+    return ChainMap._trusted(source, f.target, comps)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -409,7 +426,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
                 for c in range(gy):
                     items.append((rx + r, gx + c, dy.entry(r, c)))
             diffs.append(_matrix_from_items(rx + ry, gx + gy, items))
-    return ChainComplex(lo, tuple(degs), tuple(diffs))
+    return ChainComplex._trusted(lo, tuple(degs), tuple(diffs))
 
 
 def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
@@ -459,7 +476,7 @@ def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
                 if v:
                     items.append((pos[(i + 1, aa, b)], c, sign * v))
         diffs.append(_matrix_from_items(len(dst), len(src), items))
-    return ChainComplex(lo, tuple(degs), tuple(diffs))
+    return ChainComplex._trusted(lo, tuple(degs), tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +507,12 @@ def degreewise_pullback(f: ChainMap, g: ChainMap):
         if coords is None:
             raise IllFormedMap(f"pullback differential escapes the fiber product at degree {i}")
         diffs.append(coords)
-    pb = ChainComplex(lo, tuple(presentations), tuple(diffs))
+    pb = ChainComplex._trusted(lo, tuple(presentations), tuple(diffs))
     ga = [a.pres_at(i).generators for i in range(lo, hi + 1)]
-    p1 = ChainMap(pb, a, tuple(bases[j].take_rows(0, ga[j])
-                               for j in range(pb.min_deg - lo, pb.top_deg - lo + 1)))
-    p2 = ChainMap(pb, b, tuple(bases[j].take_rows(ga[j], bases[j].rows)
-                               for j in range(pb.min_deg - lo, pb.top_deg - lo + 1)))
+    p1 = ChainMap._trusted(pb, a, tuple(bases[j].take_rows(0, ga[j])
+                                        for j in range(pb.min_deg - lo, pb.top_deg - lo + 1)))
+    p2 = ChainMap._trusted(pb, b, tuple(bases[j].take_rows(ga[j], bases[j].rows)
+                                        for j in range(pb.min_deg - lo, pb.top_deg - lo + 1)))
     return pb, p1, p2
 
 
@@ -537,8 +554,8 @@ def degreewise_kernel(f: ChainMap):
         if coords is None:
             raise IllFormedMap(f"kernel is not closed under d at degree {x.min_deg + j}")
         diffs.append(coords)
-    ker = ChainComplex(x.min_deg, tuple(presentations), tuple(diffs))
-    incl = ChainMap(ker, x, tuple(bases[i - x.min_deg] for i in ker.span()))
+    ker = ChainComplex._trusted(x.min_deg, tuple(presentations), tuple(diffs))
+    incl = ChainMap._trusted(ker, x, tuple(bases[i - x.min_deg] for i in ker.span()))
     return ker, incl
 
 
@@ -546,8 +563,8 @@ def cokernel_complex(j: ChainMap):
     """(Q, q) where Q_i = target_i / im(j_i) and q is the quotient map."""
     x = j.target
     degs = tuple(x.pres_at(i).quotient(j.component_at(i)) for i in x.span())
-    quo = ChainComplex(x.min_deg, degs, x.differentials)
-    q = ChainMap(x, quo, tuple(IntegerMatrix.identity(p.generators) for p in x.degrees))
+    quo = ChainComplex._trusted(x.min_deg, degs, x.differentials)
+    q = ChainMap._trusted(x, quo, tuple(IntegerMatrix.identity(p.generators) for p in x.degrees))
     return quo, q
 
 
@@ -647,13 +664,13 @@ def _free_approximation(x: ChainComplex):
         q_cols = witness_cols + list(zn.columns())
         q_comps.append(IntegerMatrix.from_cols(q_cols, rows=x.pres_at(n).generators))
 
-    free = ChainComplex(
+    free = ChainComplex._trusted(
         x.min_deg,
         tuple(Presentation.free(g) for g in f_gens),
         tuple(f_diffs),
     )
     comps = tuple(q_comps[i - x.min_deg] for i in free.span())
-    return free, ChainMap(free, x, comps)
+    return free, ChainMap._trusted(free, x, comps)
 
 
 def complex_from_homology(profile: HomologyProfile) -> ChainComplex:

@@ -738,8 +738,26 @@ def subgroup_presentation(ambient: Presentation, lattice_gens: IntegerMatrix):
     return subquotient(lattice_gens.hstack(ambient.relations), ambient.relations)
 
 
+class Trusted:
+    """Base of `GroupMap`, `ChainComplex` and `ChainMap`: the public constructor
+    runs `_normalise` and `_check_lattice`, `_trusted` only `_normalise`.  See
+    "Validation" in `complexes` for what each does and when trust is sound."""
+
+    def __post_init__(self):
+        self._normalise()
+        self._check_lattice()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            object.__setattr__(obj, name, value)
+        obj._normalise()
+        return obj
+
+
 @dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Trusted):
     """Homomorphism between presented groups, given on generators.
 
     Construction verifies well-definedness: the matrix must carry every
@@ -750,28 +768,30 @@ class GroupMap:
     target: Presentation
     matrix: IntegerMatrix
 
-    def __post_init__(self):
+    def _normalise(self):
         if self.matrix.cols != self.source.generators or self.matrix.rows != self.target.generators:
             raise IllFormedMap(
                 f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
                 f"{self.target.generators}x{self.source.generators}")
+
+    def _check_lattice(self):
         rel = self.source.relations  # with no relation columns there is nothing to carry
         if rel.cols and not self.target.contains_in_relations(self.matrix @ rel):
             raise IllFormedMap("matrix does not carry source relations into target relations")
 
     @staticmethod
     def identity(p: Presentation) -> "GroupMap":
-        return GroupMap(p, p, IntegerMatrix.identity(p.generators))
+        return GroupMap._trusted(p, p, IntegerMatrix.identity(p.generators))
 
     @staticmethod
     def zero(source: Presentation, target: Presentation) -> "GroupMap":
-        return GroupMap(source, target, IntegerMatrix.zero(target.generators, source.generators))
+        return GroupMap._trusted(source, target, IntegerMatrix.zero(target.generators, source.generators))
 
     def compose(self, inner: "GroupMap") -> "GroupMap":
         """self after inner."""
         if inner.target != self.source:
             raise IllFormedMap("composition mismatch")
-        return GroupMap(inner.source, self.target, self.matrix @ inner.matrix)
+        return GroupMap._trusted(inner.source, self.target, self.matrix @ inner.matrix)
 
     def kernel_lattice(self) -> IntegerMatrix:
         return preimage_lattice(self.matrix, self.target.relations)
@@ -828,8 +848,8 @@ def pullback_group(f: GroupMap, g: GroupMap):
     diff = f.matrix.hstack(-g.matrix)  # (a, b) |-> f(a) - g(b)
     lat = preimage_lattice(diff, f.target.relations)
     pres, basis = subgroup_presentation(ambient, lat)
-    p1 = GroupMap(pres, f.source, basis.take_rows(0, f.source.generators))
-    p2 = GroupMap(pres, g.source, basis.take_rows(f.source.generators, ambient.generators))
+    p1 = GroupMap._trusted(pres, f.source, basis.take_rows(0, f.source.generators))
+    p2 = GroupMap._trusted(pres, g.source, basis.take_rows(f.source.generators, ambient.generators))
     return pres.group(), p1, p2
 
 

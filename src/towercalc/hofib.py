@@ -50,14 +50,14 @@ def _disk_cover(p: ChainComplex) -> ChainMap:
     """
     lo = p.min_deg - 1
     gens = {n: p.pres_at(n).generators for n in range(lo, p.top_deg + 2)}
-    disks = ChainComplex(
+    disks = ChainComplex._trusted(
         lo,
         tuple(Presentation.free(gens[n] + gens[n + 1]) for n in range(lo, p.top_deg + 1)),
         tuple(block_diag(IntegerMatrix.zero(gens[n - 1], 0), IntegerMatrix.identity(gens[n]),
                          IntegerMatrix.zero(0, gens[n + 1]))
               for n in range(lo + 1, p.top_deg + 1)))
-    return ChainMap(disks, p, tuple(IntegerMatrix.identity(gens[n]).hstack(p.diff_at(n + 1))
-                                    for n in disks.span()))
+    return ChainMap._trusted(disks, p, tuple(IntegerMatrix.identity(gens[n]).hstack(p.diff_at(n + 1))
+                                             for n in disks.span()))
 
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
@@ -73,7 +73,7 @@ def hofib_factorization(x: ChainComplex, k: int):
     cover = _disk_cover(p)
     disks = cover.source
     # x is the first summand of x + disks, built as one map
-    incl = ChainMap(x, direct_sum(x, disks), tuple(
+    incl = ChainMap._trusted(x, direct_sum(x, disks), tuple(
         IntegerMatrix.identity(d.generators).vstack(
             IntegerMatrix.zero(disks.pres_at(i).generators, d.generators))
         for i, d in zip(x.span(), x.degrees)))

@@ -43,12 +43,12 @@ def postnikov_section(x: ChainComplex, n: int):
         return p, ChainMap.zero_map(x, p)
     cut = min(n, x.top_deg)
     degs = x.degrees[: cut - x.min_deg] + (x.pres_at(cut).quotient(x.diff_at(cut + 1)),)
-    p = ChainComplex(x.min_deg, degs, x.differentials[: cut - x.min_deg])
+    p = ChainComplex._trusted(x.min_deg, degs, x.differentials[: cut - x.min_deg])
     comps = []
     for i in x.span():
         g = x.pres_at(i).generators
         comps.append(IntegerMatrix.identity(g) if i <= cut else IntegerMatrix.zero(0, g))
-    return p, ChainMap(x, p, tuple(comps))
+    return p, ChainMap._trusted(x, p, tuple(comps))
 
 
 def is_n_type(x: ChainComplex, n: int) -> Certificate:
@@ -96,10 +96,10 @@ def _cover_at(x: ChainComplex, k: int):
         coords = solve_matrix(basis, x.diff_at(k + 2))
         assert coords is not None  # d carries degree k+2 into the cycles
         diffs = [coords] + list(x.differentials[k + 2 - x.min_deg:])
-    c = ChainComplex(k + 1, tuple(degs), tuple(diffs))
+    c = ChainComplex._trusted(k + 1, tuple(degs), tuple(diffs))
     comps = tuple(basis if i == k + 1 else IntegerMatrix.identity(x.pres_at(i).generators)
                   for i in c.span())
-    return c, ChainMap(c, x, comps)
+    return c, ChainMap._trusted(c, x, comps)
 
 
 def fiber_sequence_check(x: ChainComplex, k: int) -> Certificate:

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there or re-exported.
+"""Every name a library module imports is used there or re-exported, and the
+modules where input enters never reach the trusted build path.
 
 A stdlib `ast` scan: an imported name counts as used when the module reads
 it anywhere (annotations included) or lists it in `__all__`.
@@ -32,3 +33,27 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def trusted_references(path: Path) -> list[str]:
+    """Every name or attribute in the module that reaches the trusted build
+    path: `Trusted` itself or its `_trusted` constructor."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("_trusted", "Trusted"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in ("_trusted", "Trusted"):
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names
+                      if a.name in ("_trusted", "Trusted")]
+    return found
+
+
+@pytest.mark.parametrize("name", ["serialize.py", "cli.py", "gen.py"])
+def test_input_boundaries_build_only_through_checked_constructors(name):
+    """Documents, command lines and generated instances enter through these
+    modules, so what they build must run every check."""
+    assert trusted_references(SRC / "trunc.py")  # the scan sees a trusted build
+    assert trusted_references(SRC / name) == []
