@@ -20,6 +20,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import serialize
 from .certificates import Certificate, bundle, failed, passed
@@ -42,6 +43,7 @@ from .sections import (
     TowerSection,
     is_homotopy_cartesian,
     is_post_fibrant,
+    parse_primes,
     postnikov_tower,
     surjective_in_positive_degrees,
 )
@@ -101,48 +103,18 @@ def _render(cert: Certificate, lines: list, depth: int) -> None:
         _render(child, lines, depth + 1)
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+def _inputs(*paths: str) -> dict:
+    """Each input file's base name with the sha256 of its bytes."""
+    return {os.path.basename(p): "sha256:" + hashlib.sha256(Path(p).read_bytes()).hexdigest()
+            for p in paths}
 
 
-# ---------------------------------------------------------------------------
-# loading helpers
-
-
-def _load_complex(path: str) -> ChainComplex:
+def _load(path: str, kind: str):
     obj = serialize.load(path)
-    if not isinstance(obj, ChainComplex):
-        raise ValidationError(path, "expected a complex document")
+    if not isinstance(obj, {"complex": ChainComplex, "tower": TowerSection,
+                            "cospan": CospanSection}[kind]):
+        raise ValidationError(path, f"expected a {kind} document")
     return obj
-
-
-def _load_tower(path: str) -> TowerSection:
-    obj = serialize.load(path)
-    if not isinstance(obj, TowerSection):
-        raise ValidationError(path, "expected a tower document")
-    return obj
-
-
-def _load_cospan(path: str) -> CospanSection:
-    obj = serialize.load(path)
-    if not isinstance(obj, CospanSection):
-        raise ValidationError(path, "expected a cospan document")
-    return obj
-
-
-def _parse_primes(raw: str, flag: str) -> set:
-    primes = set()
-    for p in filter(None, (p.strip() for p in raw.split(","))):
-        try:
-            primes.add(int(p))
-        except ValueError:
-            digits, limit = p.lstrip("+-"), sys.get_int_max_str_digits()
-            if digits.isdecimal() and 0 < limit < len(digits):
-                raise InputError(f"{flag} entry has {len(digits)} digits, over the "
-                                 f"interpreter's limit of {limit}") from None
-            raise InputError(f"{flag} expects a comma-separated list of primes") from None
-    return primes
 
 
 def _homology_listing(x: ChainComplex, name: str) -> Certificate:
@@ -156,22 +128,22 @@ def _homology_listing(x: ChainComplex, name: str) -> Certificate:
 
 
 def _cmd_homology(args):
-    x = _load_complex(args.file)
-    return {os.path.basename(args.file): _digest(args.file)}, [_homology_listing(x, "homology")]
+    x = _load(args.file, "complex")
+    return _inputs(args.file), [_homology_listing(x, "homology")]
 
 
 def _cmd_truncate(args):
-    x = _load_complex(args.file)
+    x = _load(args.file, "complex")
     p, q = postnikov_section(x, args.n)
     checks = [bundle("truncation",
                      [is_n_type(p, args.n), is_Pn_weq(q, args.n),
                       _homology_listing(p, "truncated_homology")],
                      cut=args.n)]
-    return {os.path.basename(args.file): _digest(args.file)}, checks
+    return _inputs(args.file), checks
 
 
 def _cmd_cover(args):
-    x = _load_complex(args.file)
+    x = _load(args.file, "complex")
     c, _ = connective_cover(x, args.k)
     low = [passed("cover_vanishes", degree=i) if homology_group(c, i).is_zero
            else failed("cover_vanishes", degree=i, value=str(homology_group(c, i)))
@@ -181,46 +153,40 @@ def _cmd_cover(args):
             else failed("cover_matches", degree=i, cover=str(homology_group(c, i)),
                         total=str(homology_group(x, i)))
             for i in sorted(set(c.span()) | set(x.span())) if i > args.k]
-    return ({os.path.basename(args.file): _digest(args.file)},
-            [bundle("connective_cover", low + high, cut=args.k)])
+    return _inputs(args.file), [bundle("connective_cover", low + high, cut=args.k)]
 
 
 def _cmd_layer(args):
-    x = _load_complex(args.file)
+    x = _load(args.file, "complex")
     lay = layer(x, args.k)
     off = [i for i in lay.span() if i != args.k + 1 and not homology_group(lay, i).is_zero]
     conc = (passed("concentrated", degree=args.k + 1) if not off
             else failed("concentrated", degrees=off))
     value = passed("layer_value", value=str(homology_group(lay, args.k + 1)))
-    return ({os.path.basename(args.file): _digest(args.file)},
-            [bundle("layer", [conc, value], cut=args.k)])
+    return _inputs(args.file), [bundle("layer", [conc, value], cut=args.k)]
 
 
 def _cmd_homcx(args):
-    m = _load_complex(args.source)
-    n = _load_complex(args.target)
+    m = _load(args.source, "complex")
+    n = _load(args.target, "complex")
     h = hom_complex(m, n)
-    inputs = {os.path.basename(args.source): _digest(args.source),
-              os.path.basename(args.target): _digest(args.target)}
-    return inputs, [_homology_listing(h, "hom_complex_homology")]
+    return _inputs(args.source, args.target), [_homology_listing(h, "hom_complex_homology")]
 
 
 def _cmd_uct(args):
-    m = _load_complex(args.source)
-    n = _load_complex(args.target)
+    m = _load(args.source, "complex")
+    n = _load(args.target, "complex")
     report = uct_ladder(m, n, args.n)
-    inputs = {os.path.basename(args.source): _digest(args.source),
-              os.path.basename(args.target): _digest(args.target)}
     disc = passed("discrepancy", value=str(report.discrepancy))
-    return inputs, [report.certificate, disc]
+    return _inputs(args.source, args.target), [report.certificate, disc]
 
 
 def _cmd_tower(args):
-    t = _load_tower(args.file)
+    t = _load(args.file, "tower")
     limit, projections = tower_limit(t)
     checks = [_homology_listing(limit, "limit_homology"),
               passed("projections", count=len(projections))]
-    return {os.path.basename(args.file): _digest(args.file)}, checks
+    return _inputs(args.file), checks
 
 
 def _instances(args):
@@ -231,9 +197,8 @@ def _instances(args):
 
 def _cmd_hypercomplete(args):
     if args.file:
-        x = _load_complex(args.file)
-        return ({os.path.basename(args.file): _digest(args.file)},
-                [hypercomplete_check(x)])
+        x = _load(args.file, "complex")
+        return _inputs(args.file), [hypercomplete_check(x)]
     checks = [bundle("instance", [hypercomplete_check(x)], index=i)
               for i, x in enumerate(_instances(args))]
     suite = bundle("hypercompleteness_suite", checks,
@@ -251,8 +216,8 @@ def _cmd_milnor(args):
         return bundle("milnor", [milnor_check(t, i) for i in degrees])
 
     if args.file:
-        t = _load_tower(args.file)
-        return {os.path.basename(args.file): _digest(args.file)}, [all_degrees(t)]
+        t = _load(args.file, "tower")
+        return _inputs(args.file), [all_degrees(t)]
     checks = [bundle("instance", [all_degrees(tower_of(x))], index=i)
               for i, x in enumerate(_instances(args))]
     suite = bundle("milnor_suite", checks, seed=args.seed, count=args.count)
@@ -260,33 +225,31 @@ def _cmd_milnor(args):
 
 
 def _cmd_fracture(args):
-    x = _load_complex(args.file)
-    partition = PrimePartition(_parse_primes(args.primes_j, "--primes-j"),
-                               _parse_primes(args.primes_k, "--primes-k"))
-    return ({os.path.basename(args.file): _digest(args.file)},
-            [arithmetic_square_check(x, partition)])
+    x = _load(args.file, "complex")
+    partition = PrimePartition(parse_primes(args.primes_j, "--primes-j"),
+                               parse_primes(args.primes_k, "--primes-k"))
+    return _inputs(args.file), [arithmetic_square_check(x, partition)]
 
 
 def _cmd_hofib(args):
-    x = _load_complex(args.file)
+    x = _load(args.file, "complex")
     checks = [derived_counit_check(x, args.k), layer_equivalence_check(x, args.k)]
-    return {os.path.basename(args.file): _digest(args.file)}, checks
+    return _inputs(args.file), checks
 
 
 def _cmd_section(args):
-    inputs = {os.path.basename(args.file): _digest(args.file)}
     if args.mode == "check-tower":
-        t = _load_tower(args.file)
-        return inputs, [is_post_fibrant(t), is_homotopy_cartesian(t)]
-    s = _load_cospan(args.file)
+        t = _load(args.file, "tower")
+        return _inputs(args.file), [is_post_fibrant(t), is_homotopy_cartesian(t)]
+    s = _load(args.file, "cospan")
     checks = [bundle("leg_fibrations",
                      [surjective_in_positive_degrees(s.left, "left leg"),
                       surjective_in_positive_degrees(s.right, "right leg")])]
-    if any(t == "rational" or t.startswith("local:") for t in s.tags):
+    if any(t.kind == "local" for t in s.tags):
         checks.append(cospan_model_check(s))
-    elif s.ptype_level is not None:
+    elif s.tags[1].kind == "ptype":
         checks.append(is_homotopy_cartesian(s))
-    return inputs, checks
+    return _inputs(args.file), checks
 
 
 def _cmd_generate(args):

@@ -9,10 +9,11 @@ tower derives its index from its maps, so there is no claim to violate.
 
 
 class InputError(ValueError):
-    """An argument outside its documented range: a prime list, a prime past
-    the certified bound, an overlapping or non-prime partition, a tower
-    length short of the top degree, a generator profile past its caps.  It
-    is a ValueError, so callers that catch ValueError keep working."""
+    """An argument outside its documented range: a malformed tag or prime
+    list, a prime past the certified bound, an overlapping or non-prime
+    partition, a tower length short of the top degree, a generator profile
+    past its caps.  It is a ValueError, so callers that catch ValueError
+    keep working."""
 
 
 class IllFormedMap(Exception):

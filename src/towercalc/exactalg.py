@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
 
-from .errors import IllFormedMap
+from .errors import IllFormedMap, InputError
 
 # Entries kept by each normal-form cache (here and in complexes).  Unbounded,
 # the caches hold every matrix and complex a long run has seen.
@@ -481,6 +481,47 @@ def _invariant_factors(orders) -> tuple[int, ...]:
             a, chain[j] = g, a // g * b
         chain[i] = a
     return tuple(t for t in chain if t > 1)
+
+
+# Deterministic Miller-Rabin: the first thirteen primes as bases decide
+# primality for every n below this bound (Sorenson and Webster, 2015).
+PRIME_CERTIFY_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    if n >= PRIME_CERTIFY_BOUND:
+        raise InputError(f"{n} is too large to certify as prime "
+                         f"(primes must be below {PRIME_CERTIFY_BOUND})")
+    if n < 2:
+        return False
+    if n in _WITNESSES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def certified_primes(primes) -> frozenset[int]:
+    """`primes` as a frozenset, each one certified prime; a non-prime or a
+    value past PRIME_CERTIFY_BOUND raises InputError."""
+    primes = frozenset(primes)
+    for p in primes:
+        if not _is_prime(p):
+            raise InputError(f"{p} is not prime")
+    return primes
 
 
 def prime_part(t: int, primes) -> int:

@@ -47,46 +47,16 @@ from .exactalg import (
     GroupMap,
     IntegerMatrix,
     Presentation,
+    certified_primes,
     is_exact_pair,
     kernel_image_cokernel,
     prime_part,
     pullback_group,
 )
-from .sections import CospanSection, surjective_in_positive_degrees
+from .sections import CospanSection, Tag, surjective_in_positive_degrees
 
 # ---------------------------------------------------------------------------
 # primes and partitions
-
-
-# Deterministic Miller-Rabin: the first thirteen primes as bases decide
-# primality for every n below this bound (Sorenson and Webster, 2015).
-PRIME_CERTIFY_BOUND = 3317044064679887385961981
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    if n >= PRIME_CERTIFY_BOUND:
-        raise InputError(f"{n} is too large to certify as prime "
-                         f"(primes must be below {PRIME_CERTIFY_BOUND})")
-    if n < 2:
-        return False
-    if n in _WITNESSES:
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -97,11 +67,8 @@ class PrimePartition:
     k: frozenset[int]
 
     def __init__(self, j, k):
-        object.__setattr__(self, "j", frozenset(j))
-        object.__setattr__(self, "k", frozenset(k))
-        for p in self.j | self.k:
-            if not _is_prime(p):
-                raise InputError(f"{p} is not prime")
+        object.__setattr__(self, "j", certified_primes(j))
+        object.__setattr__(self, "k", certified_primes(k))
         if self.j & self.k:
             raise InputError(f"sides overlap in {sorted(self.j & self.k)}")
 
@@ -262,27 +229,6 @@ def arithmetic_square_check(x: ChainComplex, p: PrimePartition) -> Certificate:
 # cospan models
 
 
-def _ring_tag(primes: frozenset[int]) -> str:
-    if not primes:
-        return "rational"
-    return "local:" + ",".join(str(p) for p in sorted(primes))
-
-
-def _parse_ring_tag(tag: str) -> frozenset[int] | None:
-    """Primes allowed in torsion under this tag; None when malformed."""
-    if tag == "rational":
-        return frozenset()
-    if tag.startswith("local:"):
-        body = tag[len("local:"):]
-        try:
-            primes = frozenset(int(s) for s in body.split(","))
-        except ValueError:
-            return None
-        if primes and all(_is_prime(q) for q in primes):
-            return primes
-    return None
-
-
 def fracture_cospan(x: ChainComplex, p: PrimePartition) -> CospanSection:
     """The section (X_J-model -> X_Q-model <- X_K-model) built degreewise
     from localized homology: sphere summands carry the rank into the
@@ -305,17 +251,17 @@ def fracture_cospan(x: ChainComplex, p: PrimePartition) -> CospanSection:
 
     left, right = leg(p.j), leg(p.k)
     return CospanSection(left.source, left.target, right.source, left, right,
-                         tags=(_ring_tag(p.j), "rational", _ring_tag(p.k)))
+                         tags=tuple(Tag("local", primes=frozenset(q)) for q in (p.j, (), p.k)))
 
 
 def cospan_model_check(s: CospanSection) -> Certificate:
     """Fibrancy (legs surject in positive degrees) and fractured cofibrancy
     (each vertex carries only the torsion its ring tag allows, and both legs
     rationalize to isomorphisms on homology)."""
-    allowed = tuple(_parse_ring_tag(t) for t in s.tags)
-    if any(a is None for a in allowed) or allowed[1] != frozenset():
+    allowed = tuple(t.primes for t in s.tags)
+    if None in allowed or allowed[1]:
         return bundle("fracture_cospan_model", [
-            failed("ring_tags", tags=list(s.tags),
+            failed("ring_tags", tags=[str(t) for t in s.tags],
                    reason="expected (local-or-rational, rational, local-or-rational)")])
 
     checks = [
@@ -323,9 +269,7 @@ def cospan_model_check(s: CospanSection) -> Certificate:
         surjective_in_positive_degrees(s.right, "right leg"),
     ]
 
-    for name, cx, primes in (("x1", s.x1, allowed[0]),
-                             ("x0", s.x0, allowed[1]),
-                             ("x2", s.x2, allowed[2])):
+    for name, cx, primes in zip(("x1", "x0", "x2"), (s.x1, s.x0, s.x2), allowed):
         bad = None
         for d in cx.span():
             g = homology_group(cx, d)

@@ -30,7 +30,7 @@ from .complexes import (
 )
 from .errors import NotCofibrant
 from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, Presentation, block_diag
-from .sections import CospanSection
+from .sections import CospanSection, Tag
 from .trunc import connective_cover, is_Pn_weq, layer, postnikov_section
 
 
@@ -86,7 +86,7 @@ def build_hofib_section(x: ChainComplex, k: int) -> CospanSection:
     p = proj.target
     return CospanSection(zero_complex(), p, proj.source,
                          ChainMap.zero_map(zero_complex(), p), proj,
-                         tags=("point", f"ptype:{k}", "plain"))
+                         tags=(Tag("point"), Tag("ptype", level=k), Tag("plain")))
 
 
 def fibrant_adjustment(s: CospanSection) -> CospanSection:

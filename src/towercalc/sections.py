@@ -3,7 +3,8 @@
 A tower section is a finite prefix X_0, ..., X_m with structure maps
 X_{i+1} -> X_i; it derives its stabilization index, the level from which it
 is literally constant, instead of taking one on trust.  A cospan section is
-a diagram X_1 -> X_0 <- X_2 with a localization tag on each vertex.
+a diagram X_1 -> X_0 <- X_2 with a localization `Tag` on each vertex; this
+module is the one reader of the tag text and of the prime lists in it.
 Morphisms are componentwise chain maps whose squares commute, verified at
 construction.
 
@@ -16,6 +17,7 @@ that must agree.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .certificates import Certificate, bundle, failed, passed
@@ -31,7 +33,14 @@ from .complexes import (
     zero_complex,
 )
 from .errors import CharacterizationMismatch, IllFormedMap, InputError
-from .exactalg import GroupMap, IntegerMatrix, Presentation, column_basis, solve_matrix
+from .exactalg import (
+    GroupMap,
+    IntegerMatrix,
+    Presentation,
+    certified_primes,
+    column_basis,
+    solve_matrix,
+)
 from .trunc import is_n_type, is_Pn_weq, postnikov_section
 
 # ---------------------------------------------------------------------------
@@ -76,46 +85,89 @@ def _is_identity(f: ChainMap) -> bool:
         c == IntegerMatrix.identity(c.rows) for c in f.components)
 
 
+# ---------------------------------------------------------------------------
+# localization tags and the integers they are spelled with
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_decimal(text, what: str) -> int:
+    """`text` read as `-?[0-9]+` within the interpreter's digit limit; any other
+    value or spelling ("+3", " 3", "1_3") raises InputError naming `what`."""
+    if isinstance(text, str) and _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise InputError(f"{what} has {len(text.lstrip('-'))} digits, over the "
+                             f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
+    raise InputError(f"{what} must be a decimal string, got {text!r}")
+
+
+def parse_primes(text: str, what: str) -> frozenset[int]:
+    """A comma-separated list of decimal integers; whitespace around an entry
+    and empty entries are skipped.  Primality is certified by the taker."""
+    return frozenset(parse_decimal(p.strip(), f"{what} entry")
+                     for p in text.split(",") if p.strip())
+
+
+@dataclass(frozen=True)
+class Tag:
+    """The localization tag of one cospan vertex: `plain`, `point`, `ptype`
+    with a truncation `level`, or `local` with the `primes` kept uninverted
+    (none: the rationalization).  `parse` is the one reader of the text
+    forms `plain`, `point`, `ptype:N`, `local:P,Q,...` and `rational`, and
+    certifies the primes; `str` writes them back with the primes sorted."""
+
+    kind: str = "plain"
+    level: int | None = None
+    primes: frozenset[int] | None = None
+
+    @classmethod
+    def parse(cls, text) -> Tag:
+        if not isinstance(text, str):
+            raise InputError(f"a tag must be a string, got {type(text).__name__}")
+        if text in ("plain", "point"):
+            return cls(text)
+        if text == "rational":
+            return cls("local", primes=frozenset())
+        kind, colon, body = text.partition(":")
+        if colon and kind == "ptype":
+            return cls("ptype", level=parse_decimal(body, "a ptype: level"))
+        if colon and kind == "local" and (primes := parse_primes(body, "a local: tag")):
+            return cls("local", primes=certified_primes(primes))
+        raise InputError(f"malformed tag {text!r}: expected plain, point, ptype:N, "
+                         "rational or local:P,Q,...")
+
+    def __str__(self):
+        if self.kind == "local":
+            return "local:" + ",".join(map(str, sorted(self.primes))) if self.primes else "rational"
+        return f"ptype:{self.level}" if self.kind == "ptype" else self.kind
+
+
 @dataclass(frozen=True)
 class CospanSection:
-    """x1 --left--> x0 <--right-- x2 with a localization tag per vertex,
-    listed in the order (x1, x0, x2).
-
-    `ptype_level` is derived at construction: n when the middle tag is
-    `ptype:n`, None for any other middle tag.  A tag that is not a string,
-    or a `ptype:` tag whose level is not a decimal integer the interpreter
-    converts, raises InputError."""
+    """x1 --left--> x0 <--right-- x2 with a localization `Tag` per vertex,
+    listed in the order (x1, x0, x2).  Tags given as text go through
+    `Tag.parse`, so a malformed one raises InputError.  A `ptype` middle tag
+    is the level `is_homotopy_cartesian` compares the legs at."""
 
     x1: ChainComplex
     x0: ChainComplex
     x2: ChainComplex
     left: ChainMap
     right: ChainMap
-    tags: tuple[str, str, str] = ("plain", "plain", "plain")
-    ptype_level: int | None = field(init=False)
+    tags: tuple[Tag, Tag, Tag] = (Tag(), Tag(), Tag())
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
+        tags = tuple(self.tags)
         if self.left.source != self.x1 or self.left.target != self.x0:
             raise IllFormedMap("left leg must map x1 to x0")
         if self.right.source != self.x2 or self.right.target != self.x0:
             raise IllFormedMap("right leg must map x2 to x0")
-        if len(self.tags) != 3:
+        if len(tags) != 3:
             raise IllFormedMap("one localization tag per vertex required")
-        for pos, tag in enumerate(self.tags):
-            if not isinstance(tag, str):
-                raise InputError(f"tag {pos} must be a string, got {type(tag).__name__}")
-        level = None
-        if self.tags[1].startswith("ptype:"):
-            digits = self.tags[1][len("ptype:"):]
-            try:
-                if not re.fullmatch(r"-?[0-9]+", digits):
-                    raise ValueError(digits)
-                level = int(digits)  # raises past the interpreter's digit limit
-            except ValueError:
-                raise InputError("a ptype: level must be a decimal integer within the "
-                                 f"interpreter's digit limit, got {digits[:20]!r}") from None
-        object.__setattr__(self, "ptype_level", level)
+        object.__setattr__(self, "tags", tuple(
+            t if isinstance(t, Tag) else Tag.parse(t) for t in tags))
 
 
 @dataclass(frozen=True)
@@ -304,8 +356,8 @@ def is_homotopy_cartesian(section) -> Certificate:
         checks = [_replaced_weq(m, i, "structure_map_weq")
                   for i, m in enumerate(section.structure_maps)]
         return bundle("homotopy_cartesian", checks)
-    checks = [_replaced_weq(section.left, section.ptype_level, "left_leg_weq"),
-              _replaced_weq(section.right, section.ptype_level, "right_leg_weq")]
+    checks = [_replaced_weq(section.left, section.tags[1].level, "left_leg_weq"),
+              _replaced_weq(section.right, section.tags[1].level, "right_leg_weq")]
     return bundle("homotopy_cartesian", checks)
 
 

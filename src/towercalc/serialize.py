@@ -10,15 +10,11 @@ location naming the offending spot.
 from __future__ import annotations
 
 import json
-import re
-import sys
 
 from .complexes import ChainComplex, ChainMap
 from .errors import IllFormedMap, InputError, ParseError, ValidationError
 from .exactalg import IntegerMatrix, Presentation
-from .sections import CospanSection, TowerSection
-
-_INT = re.compile(r"-?[0-9]+")
+from .sections import CospanSection, Tag, TowerSection, parse_decimal
 
 
 def _need(doc: dict, key: str, where: str):
@@ -35,16 +31,6 @@ def _count(value, where: str) -> int:
     return value
 
 
-def _entry(value, where: str) -> int:
-    if not isinstance(value, str) or not _INT.fullmatch(value):
-        raise ParseError(where, f"matrix entry must be a decimal string, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(where, f"matrix entry has {len(value.lstrip('-'))} digits, over the "
-                                f"interpreter's limit of {sys.get_int_max_str_digits()}") from None
-
-
 def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
     if not isinstance(doc, list):
         raise ParseError(where, "expected an array of rows")
@@ -54,7 +40,11 @@ def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]", f"expected a row of {cols} entries")
-        flat.extend(_entry(e, f"{where}[{i}][{j}]") for j, e in enumerate(row))
+        for j, e in enumerate(row):
+            try:
+                flat.append(parse_decimal(e, "matrix entry"))
+            except InputError as err:
+                raise ParseError(f"{where}[{i}][{j}]", str(err)) from None
     return IntegerMatrix(rows, cols, tuple(flat))
 
 
@@ -167,17 +157,18 @@ def cospan_from_doc(doc: dict, where: str = "cospan") -> CospanSection:
                               vertices["x1"], vertices["x0"], f"{where}.left")
     right = chain_map_from_doc(_need(doc, "right", where),
                                vertices["x2"], vertices["x0"], f"{where}.right")
-    tags = _need(doc, "tags", where)
-    if (not isinstance(tags, list) or len(tags) != 3
-            or not all(isinstance(t, str) for t in tags)):
+    tags_doc = _need(doc, "tags", where)
+    if not isinstance(tags_doc, list) or len(tags_doc) != 3:
         raise ParseError(f"{where}.tags", "expected three tag strings")
-    try:
-        return CospanSection(vertices["x1"], vertices["x0"], vertices["x2"],
-                             left, right, tags=tuple(tags))
-    except IllFormedMap as err:
-        raise ValidationError(where, str(err)) from err
-    except InputError as err:  # only the ptype: level of the middle tag
-        raise ParseError(f"{where}.tags[1]", str(err)) from err
+    tags = []
+    for i, text in enumerate(tags_doc):
+        try:
+            tags.append(Tag.parse(text))
+        except InputError as err:
+            raise ParseError(f"{where}.tags[{i}]", str(err)) from None
+    # legs and tags are checked above, so the constructor has nothing to reject
+    return CospanSection(vertices["x1"], vertices["x0"], vertices["x2"],
+                         left, right, tags=tuple(tags))
 
 
 def cospan_to_doc(s: CospanSection) -> dict:
@@ -187,7 +178,7 @@ def cospan_to_doc(s: CospanSection) -> dict:
         "x2": complex_to_doc(s.x2, "x2"),
         "left": chain_map_to_doc(s.left),
         "right": chain_map_to_doc(s.right),
-        "tags": list(s.tags),
+        "tags": [str(t) for t in s.tags],
     }
 
 

@@ -9,7 +9,8 @@ from towercalc import cli
 from towercalc.cli import main
 from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_complex, zero_complex
 from towercalc.complexes import direct_sum_map
-from towercalc.fracture import PRIME_CERTIFY_BOUND, PrimePartition, fracture_cospan
+from towercalc.exactalg import PRIME_CERTIFY_BOUND
+from towercalc.fracture import PrimePartition, fracture_cospan
 from towercalc.sections import CospanSection
 from towercalc.serialize import save
 
@@ -91,7 +92,10 @@ def test_certified_failure_exits_one(capsys, tmp_path):
 def test_unusable_inputs_exit_two(capsys):
     assert main(["homology", str(FIXTURES / "absent.json")]) == 2
     assert main(["homology", str(FIXTURES / "invalid_d2.json")]) == 2
-    assert main(["fracture", MOORE, "--primes-j", "abc", "--primes-k", "3"]) == 2
+    # prime lists take the document spelling of integers and nothing else
+    for primes_k in ("abc", "+3", "3,1_3"):
+        assert main(["fracture", MOORE, "--primes-j", "2", "--primes-k", primes_k]) == 2
+        assert "--primes-k entry must be a decimal string" in capsys.readouterr().err
     # partition does not cover the torsion of Moore(6)
     assert main(["fracture", MOORE, "--primes-j", "2", "--primes-k", "5"]) == 2
     # tower command fed a plain complex
@@ -236,10 +240,14 @@ def test_typed_input_errors_exit_two(capsys, tmp_path):
 def test_malformed_ptype_tags_exit_two_at_their_path(capsys, tmp_path):
     doc = json.loads(Path(COSPAN).read_text())
     path = tmp_path / "cospan.json"
-    for level in ("x", "", "1.5", "7" * 5000):
-        doc["tags"] = ["plain", f"ptype:{level}", "plain"]
+    cases = [(1, f"ptype:{level}") for level in ("x", "", "1.5", "7" * 5000)]
+    cases += [(i, tag) for i in (0, 2)
+              for tag in ("local:4", "local:x", "local:", "local:1_3", "local:+3", "bogus")]
+    for index, tag in cases:
+        doc["tags"] = ["local:2", "rational", "local:3"]
+        doc["tags"][index] = tag
         path.write_text(json.dumps(doc))
         assert main(["section", "check-cospan", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}.tags[1]" in err
+        assert f"{path}.tags[{index}]" in err
         assert "internal error" not in err

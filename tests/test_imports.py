@@ -1,5 +1,6 @@
-"""Every name a library module imports is used there or re-exported, and the
-modules where input enters never reach the trusted build path.
+"""Every name a library module imports is used there or re-exported, the
+modules where input enters never reach the trusted build path, and only
+`sections` spells localization-tag text.
 
 A stdlib `ast` scan: an imported name counts as used when the module reads
 it anywhere (annotations included) or lists it in `__all__`.
@@ -57,3 +58,21 @@ def test_input_boundaries_build_only_through_checked_constructors(name):
     modules, so what they build must run every check."""
     assert trusted_references(SRC / "trunc.py")  # the scan sees a trusted build
     assert trusted_references(SRC / name) == []
+
+
+def tag_spellings(path: Path) -> list[str]:
+    """Every string constant in the module that spells tag text: `rational`
+    or anything beginning `local:` or `ptype:` (f-string pieces included)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (node.value == "rational" or node.value.startswith(("local:", "ptype:")))]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_sections_spells_tag_text(path):
+    """`sections.Tag` is the one reader and writer of the tag grammar; every
+    other module works with parsed tags."""
+    assert tag_spellings(SRC / "sections.py")  # the scan sees the grammar
+    if path.name != "sections.py":
+        assert tag_spellings(path) == []

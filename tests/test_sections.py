@@ -23,10 +23,11 @@ from towercalc.complexes import (
     zero_complex,
 )
 from towercalc.errors import IllFormedMap, InputError
-from towercalc.exactalg import FpAbelianGroup, IntegerMatrix, Presentation
+from towercalc.exactalg import PRIME_CERTIFY_BOUND, FpAbelianGroup, IntegerMatrix, Presentation
 from towercalc.sections import (
     CospanSection,
     SectionMorphism,
+    Tag,
     TowerSection,
     classify_injective,
     constant_tower,
@@ -274,16 +275,27 @@ def test_homotopy_cartesian_cospan_fails_on_a_dead_leg():
     assert cert.failures()[0].check == "left_leg_weq"
 
 
-def test_cospan_derives_its_ptype_level_once():
+def test_cospan_parses_its_tags_once():
     x = sphere_complex(0)
     i = ChainMap.identity(x)
     for level in ("x", "", "1.5", "+1", " 1", "1_0", "7" * 5000):
         with pytest.raises(InputError):
             CospanSection(x, x, x, i, i, ("plain", f"ptype:{level}", "plain"))
+    for bad in ("local:4", "local:x", "local:", "local:,", "local:1_3", "local:+3",
+                "local:-3", "local:" + "7" * 5000, f"local:{PRIME_CERTIFY_BOUND + 2}",
+                "bogus", "Plain", "rational:2", "ptype"):
+        with pytest.raises(InputError):
+            CospanSection(x, x, x, i, i, (bad, "plain", "plain"))
     with pytest.raises(InputError):
         CospanSection(x, x, x, i, i, ("plain", 3, "plain"))
-    assert CospanSection(x, x, x, i, i, ("plain", "ptype:-2", "plain")).ptype_level == -2
-    assert CospanSection(x, x, x, i, i, ("plain", "rational", "plain")).ptype_level is None
+    assert CospanSection(x, x, x, i, i, ("plain", "ptype:-2", "plain")).tags[1].level == -2
+    assert CospanSection(x, x, x, i, i, ("plain", "rational", "plain")).tags[1].level is None
+    # blanks around and between primes are skipped; the text is canonical
+    spaced = CospanSection(x, x, x, i, i, ("local: 3, ,2,", "rational", "point"))
+    assert spaced.tags[0] == Tag("local", primes=frozenset({2, 3}))
+    assert tuple(map(str, spaced.tags)) == ("local:2,3", "rational", "point")
+    for text in ("plain", "point", "ptype:0", "ptype:-2", "rational", "local:2,3,5"):
+        assert str(Tag.parse(text)) == text
 
 
 # ---------------------------------------------------------------------------

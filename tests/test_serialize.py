@@ -46,7 +46,7 @@ def test_bundled_tower_and_cospan_load():
     tower = load(FIXTURES / "tower_moore6.json")
     assert tower.length == 2
     cospan = load(FIXTURES / "cospan_fracture_moore6.json")
-    assert cospan.tags == ("local:2", "rational", "local:3")
+    assert tuple(map(str, cospan.tags)) == ("local:2", "rational", "local:3")
 
 
 def test_complex_file_round_trip(tmp_path):
