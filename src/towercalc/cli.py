@@ -31,7 +31,6 @@ from .errors import (
     NotCofibrant,
     ParseError,
     PartitionTooSmall,
-    TorsionSource,
     ValidationError,
 )
 from .fracture import PrimePartition, arithmetic_square_check, cospan_model_check
@@ -49,8 +48,8 @@ from .sections import (
 )
 from .trunc import connective_cover, is_n_type, is_Pn_weq, layer, postnikov_section
 
-_INPUT_ERRORS = (ParseError, ValidationError, InputError, TorsionSource, NotCofibrant,
-                 PartitionTooSmall, IllFormedMap)
+_INPUT_ERRORS = (ParseError, ValidationError, InputError, NotCofibrant, PartitionTooSmall,
+                 IllFormedMap)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +190,8 @@ def _cmd_tower(args):
 
 def _instances(args):
     """Seeded instance stream for the batch subcommands."""
+    if args.count < 0:
+        raise InputError(f"--count must be at least 0, got {args.count}")
     rng = random.Random(args.seed)
     return [random_complex(rng) for _ in range(args.count)]
 

@@ -16,11 +16,13 @@ The public constructors run both, so documents (`serialize`, `cli`), `gen`
 and user code are checked in full.  Builders here and in `trunc`, `hofib`,
 `holim` and `exactalg` whose results follow from valid inputs use
 `_trusted`, which runs only `_normalise`: identities, sums, composites,
-cones and the like are valid because their inputs are, kernels, pullbacks,
-covers, sections and free replacements solve every differential and map
-exactly against subgroup bases, and an induced map reads exact homology
-coordinates of a chain map.  Maps whose validity is being claimed, or rests
-on a condition nobody checked, stay checked: `pullback_induced_map`,
+cones and the like are valid because their inputs are; kernels, pullbacks
+(the kernel of the difference map (f, -g)) and covers are all carved out by
+`subcomplex`, which solves every differential exactly against the subgroup
+bases; sections and free replacements solve their maps exactly too; and an
+induced map reads exact homology coordinates of a chain map.  Maps whose
+validity is being claimed, or rests on a condition nobody checked, stay
+checked: `pullback_induced_map`,
 `fiber_sequence_check`'s comparison, the maps of `sections` and `fracture`,
 and `connecting_map`, which is well defined only on a degreewise short
 exact pair that `les_certificate` does not verify.  The test suite routes
@@ -39,7 +41,8 @@ recomputed to an equal value.  A hit builds nothing.
   like the Smith-form and group caches in `exactalg`.
 - The constructions keep BUILD_CACHE_MAXSIZE entries each, because their
   reuse happens within one complex's battery of checks: `induced_map`,
-  `degreewise_kernel` and the general case of `cofibrant_replacement` here,
+  `degreewise_kernel` (which pullbacks share, being the kernels of their
+  difference maps) and the general case of `cofibrant_replacement` here,
   `postnikov_section` and `connective_cover` in `trunc`,
   `hofib_factorization` in `hofib`, `tower_limit` in `holim`, and the
   shared `IntegerMatrix.zero`, `IntegerMatrix.identity` and
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .certificates import Certificate, bundle, failed, passed
-from .errors import IllFormedMap, TorsionSource, ValidationError
+from .errors import IllFormedMap, NotCofibrant, ValidationError
 from .exactalg import (
     BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
@@ -436,7 +439,7 @@ def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
     The source must be degreewise free; generator (i, a, b) sends generator a
     of M_i to generator b of N_{i+k}."""
     if not m.is_degreewise_free:
-        raise TorsionSource("mapping complex requires a degreewise-free source")
+        raise NotCofibrant("mapping complex requires a degreewise-free source")
     if m.is_zero or n.is_zero:
         return zero_complex()
     lo = n.min_deg - m.top_deg
@@ -480,39 +483,46 @@ def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# degreewise pullback / kernel / cokernel
+# sub-complexes (kernels, pullbacks) and cokernels
+
+
+def subcomplex(x: ChainComplex, lo: int, lattices):
+    """(S, inclusion) with S_i, for lo <= i < lo + len(lattices), the subgroup
+    of x_i that the columns of lattices[i - lo] generate; None means all of
+    x_i, kept with its own presentation and an identity component.  S is zero
+    outside that window.  Each differential of S is d_i solved against the
+    subgroup bases, so S exists only if d carries each subgroup into the next."""
+    parts = [(x.pres_at(i), None) if lat is None else subgroup_presentation(x.pres_at(i), lat)
+             for i, lat in enumerate(lattices, lo)]
+    bases = [basis for _, basis in parts]
+    diffs = []
+    for i in range(lo + 1, lo + len(bases)):
+        below, above = bases[i - lo - 1], bases[i - lo]
+        pushed = x.diff_at(i) if above is None else x.diff_at(i) @ above
+        coords = pushed if below is None else solve_matrix(below, pushed)
+        if coords is None:
+            raise IllFormedMap(f"sub-complex is not closed under d at degree {i}")
+        diffs.append(coords)
+    sub = ChainComplex._trusted(lo, tuple(pres for pres, _ in parts), tuple(diffs))
+    comps = tuple(IntegerMatrix.identity(x.pres_at(i).generators) if bases[i - lo] is None
+                  else bases[i - lo] for i in sub.span())
+    return sub, ChainMap._trusted(sub, x, comps)
 
 
 def degreewise_pullback(f: ChainMap, g: ChainMap):
-    """Fiber product of f: A -> C and g: B -> C, with projections."""
+    """Fiber product of f: A -> C and g: B -> C, with projections: the kernel
+    of the difference map (f, -g): A + B -> C, whose inclusion's two row
+    blocks are the projections to A and B."""
     if f.target != g.target:
         raise IllFormedMap("pullback legs must share a target")
-    a, b, c = f.source, g.source, f.target
-    lo = min(a.min_deg, b.min_deg)
-    hi = max(a.top_deg, b.top_deg)
-    presentations = []
-    bases = []
-    for i in range(lo, hi + 1):
-        ambient = a.pres_at(i).direct_sum(b.pres_at(i))
-        diff_map = f.component_at(i).hstack(-g.component_at(i))
-        lat = preimage_lattice(diff_map, c.pres_at(i).relations)
-        pres, basis = subgroup_presentation(ambient, lat)
-        presentations.append(pres)
-        bases.append(basis)
-    diffs = []
-    for i in range(lo + 1, hi + 1):
-        ambient_d = block_diag(a.diff_at(i), b.diff_at(i))
-        pushed = ambient_d @ bases[i - lo]
-        coords = solve_matrix(bases[i - lo - 1], pushed)
-        if coords is None:
-            raise IllFormedMap(f"pullback differential escapes the fiber product at degree {i}")
-        diffs.append(coords)
-    pb = ChainComplex._trusted(lo, tuple(presentations), tuple(diffs))
-    ga = [a.pres_at(i).generators for i in range(lo, hi + 1)]
-    p1 = ChainMap._trusted(pb, a, tuple(bases[j].take_rows(0, ga[j])
-                                        for j in range(pb.min_deg - lo, pb.top_deg - lo + 1)))
-    p2 = ChainMap._trusted(pb, b, tuple(bases[j].take_rows(ga[j], bases[j].rows)
-                                        for j in range(pb.min_deg - lo, pb.top_deg - lo + 1)))
+    a, b = f.source, g.source
+    ab = direct_sum(a, b)
+    difference = ChainMap._trusted(ab, f.target, tuple(
+        f.component_at(i).hstack(-g.component_at(i)) for i in ab.span()))
+    pb, incl = degreewise_kernel(difference)
+    split = [(c, a.pres_at(i).generators) for i, c in zip(pb.span(), incl.components)]
+    p1 = ChainMap._trusted(pb, a, tuple(c.take_rows(0, ga) for c, ga in split))
+    p2 = ChainMap._trusted(pb, b, tuple(c.take_rows(ga, c.rows) for c, ga in split))
     return pb, p1, p2
 
 
@@ -540,23 +550,9 @@ def pullback_induced_map(p1: ChainMap, p2: ChainMap, f: ChainMap, g: ChainMap) -
 def degreewise_kernel(f: ChainMap):
     """(K, inclusion) with K_i the kernel of f_i as a subgroup of source_i."""
     x = f.source
-    presentations = []
-    bases = []
-    for i in x.span():
-        lat = preimage_lattice(f.component_at(i), f.target.pres_at(i).relations)
-        pres, basis = subgroup_presentation(x.pres_at(i), lat)
-        presentations.append(pres)
-        bases.append(basis)
-    diffs = []
-    for j in range(1, len(presentations)):
-        pushed = x.differentials[j - 1] @ bases[j]
-        coords = solve_matrix(bases[j - 1], pushed)
-        if coords is None:
-            raise IllFormedMap(f"kernel is not closed under d at degree {x.min_deg + j}")
-        diffs.append(coords)
-    ker = ChainComplex._trusted(x.min_deg, tuple(presentations), tuple(diffs))
-    incl = ChainMap._trusted(ker, x, tuple(bases[i - x.min_deg] for i in ker.span()))
-    return ker, incl
+    lattices = [preimage_lattice(f.component_at(i), f.target.pres_at(i).relations)
+                for i in x.span()]
+    return subcomplex(x, x.min_deg, lattices)
 
 
 def cokernel_complex(j: ChainMap):

@@ -12,8 +12,8 @@ class InputError(ValueError):
     """An argument outside its documented range: a malformed tag or prime
     list, a prime past the certified bound, an overlapping or non-prime
     partition, a tower length short of the top degree, a generator profile
-    past its caps.  It is a ValueError, so callers that catch ValueError
-    keep working."""
+    past its caps, a negative batch count.  It is a ValueError, so callers
+    that catch ValueError keep working."""
 
 
 class IllFormedMap(Exception):
@@ -21,12 +21,10 @@ class IllFormedMap(Exception):
     would-be chain map fails to commute with the differentials."""
 
 
-class TorsionSource(Exception):
-    """An operation requiring a degreewise-free source got relations."""
-
-
 class NotCofibrant(Exception):
-    """An operation requiring a degreewise-free complex got torsion."""
+    """An operation requiring a degreewise-free complex got relations: the
+    source of a mapping complex, a generator commutation check's complex, a
+    homotopy fiber's input."""
 
 
 class PartitionTooSmall(Exception):

@@ -882,15 +882,17 @@ def is_exact_pair(f: GroupMap, g: GroupMap):
 
 
 def pullback_group(f: GroupMap, g: GroupMap):
-    """Fiber product {(a, b) : f(a) = g(b)} with its two projections."""
+    """Fiber product {(a, b) : f(a) = g(b)} with its two projections: the
+    kernel of the difference map (f, -g): A + B -> C, whose basis's two row
+    blocks are the projections to A and B."""
     if f.target != g.target:
         raise IllFormedMap("pullback legs must share a target")
-    ambient = f.source.direct_sum(g.source)
-    diff = f.matrix.hstack(-g.matrix)  # (a, b) |-> f(a) - g(b)
-    lat = preimage_lattice(diff, f.target.relations)
-    pres, basis = subgroup_presentation(ambient, lat)
-    p1 = GroupMap._trusted(pres, f.source, basis.take_rows(0, f.source.generators))
-    p2 = GroupMap._trusted(pres, g.source, basis.take_rows(f.source.generators, ambient.generators))
+    difference = GroupMap._trusted(f.source.direct_sum(g.source), f.target,
+                                   f.matrix.hstack(-g.matrix))
+    pres, basis = difference.kernel_data()
+    split = f.source.generators
+    p1 = GroupMap._trusted(pres, f.source, basis.take_rows(0, split))
+    p2 = GroupMap._trusted(pres, g.source, basis.take_rows(split, basis.rows))
     return pres.group(), p1, p2
 
 

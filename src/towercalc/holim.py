@@ -28,7 +28,7 @@ from .complexes import (
     is_quasi_iso,
     sphere_complex,
 )
-from .errors import TorsionSource
+from .errors import NotCofibrant
 from .exactalg import (
     BUILD_CACHE_MAXSIZE,
     FpAbelianGroup,
@@ -113,7 +113,7 @@ def generator_commutation_check(i: int, x: ChainComplex, n: int) -> Certificate:
     homology of hom(Z[i], P_n x) equals the homology of hom(Z[i], x) cut at
     degree n - i (mapping out of Z[i] shifts degrees down by i)."""
     if not x.is_degreewise_free:
-        raise TorsionSource("commutation is checked against a degreewise free complex")
+        raise NotCofibrant("commutation is checked against a degreewise free complex")
     sphere = sphere_complex(i)
     section = postnikov_section(x, n)[0]
     truncated_side = homology(hom_complex(sphere, section))

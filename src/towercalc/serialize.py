@@ -136,10 +136,7 @@ def tower_from_doc(doc: dict, where: str = "tower") -> TowerSection:
         raise ParseError(f"{where}.maps", "expected one map per adjacent level pair")
     maps = [chain_map_from_doc(d, levels[i + 1], levels[i], f"{where}.maps[{i}]")
             for i, d in enumerate(maps_doc)]
-    try:
-        return TowerSection(tuple(levels), tuple(maps))
-    except IllFormedMap as err:
-        raise ValidationError(where, str(err)) from err
+    return TowerSection(tuple(levels), tuple(maps))
 
 
 def tower_to_doc(t: TowerSection) -> dict:

@@ -2,7 +2,8 @@
 
 ``postnikov_section(X, n)`` kills homology above n by quotienting degree n by
 the incoming boundaries; ``connective_cover(X, k)`` kills homology at or
-below k by restricting degree k+1 to the cycles.  The two fit into a
+below k: it is the `subcomplex` of X on the cycles in degree k+1 and all of
+X above, with nothing at or below k.  The two fit into a
 degreewise short exact sequence whose long exact homology sequence is checked
 spot by spot, not assumed.
 
@@ -23,15 +24,10 @@ from .complexes import (
     induced_map,
     is_quasi_iso,
     les_certificate,
+    subcomplex,
     zero_complex,
 )
-from .exactalg import (
-    BUILD_CACHE_MAXSIZE,
-    IntegerMatrix,
-    preimage_lattice,
-    solve_matrix,
-    subgroup_presentation,
-)
+from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, preimage_lattice
 
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
@@ -85,21 +81,11 @@ def connective_cover(x: ChainComplex, k: int):
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def _cover_at(x: ChainComplex, k: int):
-    if x.is_zero or k + 1 > x.top_deg:
-        c = zero_complex()
-        return c, ChainMap.zero_map(c, x)
-    cycles = preimage_lattice(x.diff_at(k + 1), x.pres_at(k).relations)
-    bottom_pres, basis = subgroup_presentation(x.pres_at(k + 1), cycles)
-    degs = [bottom_pres] + list(x.degrees[k + 2 - x.min_deg:])
-    diffs = []
-    if k + 2 <= x.top_deg:
-        coords = solve_matrix(basis, x.diff_at(k + 2))
-        assert coords is not None  # d carries degree k+2 into the cycles
-        diffs = [coords] + list(x.differentials[k + 2 - x.min_deg:])
-    c = ChainComplex._trusted(k + 1, tuple(degs), tuple(diffs))
-    comps = tuple(basis if i == k + 1 else IntegerMatrix.identity(x.pres_at(i).generators)
-                  for i in c.span())
-    return c, ChainMap._trusted(c, x, comps)
+    lattices = []
+    if k < x.top_deg:
+        cycles = preimage_lattice(x.diff_at(k + 1), x.pres_at(k).relations)
+        lattices = [cycles] + [None] * (x.top_deg - k - 1)
+    return subcomplex(x, k + 1, lattices)
 
 
 def fiber_sequence_check(x: ChainComplex, k: int) -> Certificate:

@@ -224,9 +224,11 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
 
 
 def test_typed_input_errors_exit_two(capsys, tmp_path):
-    # a non-prime, an overlapping partition, a broken document
+    # a non-prime, an overlapping partition, a negative batch count, a broken document
     assert main(["fracture", MOORE, "--primes-j", "4", "--primes-k", "3"]) == 2
     assert main(["fracture", MOORE, "--primes-j", "2,3", "--primes-k", "3"]) == 2
+    assert main(["hypercomplete", "--count", "-3"]) == 2
+    assert main(["milnor", "--count", "-3"]) == 2
     doc = json.loads(Path(MOORE).read_text())
     doc["differentials"][0][0][0] = "x"
     broken = tmp_path / "broken.json"

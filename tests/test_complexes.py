@@ -37,7 +37,7 @@ from towercalc.complexes import (
     sphere_complex,
     zero_complex,
 )
-from towercalc.errors import IllFormedMap, TorsionSource, ValidationError
+from towercalc.errors import IllFormedMap, NotCofibrant, ValidationError
 from towercalc.exactalg import (
     BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
@@ -48,6 +48,7 @@ from towercalc.exactalg import (
     ext_group,
     hom_group,
     kernel_image_cokernel,
+    pullback_group,
 )
 from towercalc.trunc import connective_cover, postnikov_section
 
@@ -270,7 +271,7 @@ def test_hom_into_zero_complex():
 
 
 def test_hom_requires_free_source():
-    with pytest.raises(TorsionSource):
+    with pytest.raises(NotCofibrant):
         hom_complex(cyclic_layer(2, 0), sphere_complex(0))
 
 
@@ -309,6 +310,18 @@ def test_hom_homology_sizes_follow_uct(mp, np_):
 # degreewise pullback / kernel / cokernel
 
 
+def _assert_degreewise_pullback_groups(pb, f, g):
+    """Each degree of the chain-level pullback is the group-level pullback of
+    that degree's components, whose square commutes."""
+    for i in range(min(f.source.min_deg, g.source.min_deg),
+                   max(f.source.top_deg, g.source.top_deg) + 1):
+        fi, gi = (GroupMap(h.source.pres_at(i), h.target.pres_at(i), h.component_at(i))
+                  for h in (f, g))
+        group, p1, p2 = pullback_group(fi, gi)
+        assert pb.pres_at(i).group() == group
+        assert fi.target.contains_in_relations(fi.matrix @ p1.matrix - gi.matrix @ p2.matrix)
+
+
 @given(pieces_st)
 @settings(max_examples=40, deadline=None)
 def test_pullback_of_identities(pieces):
@@ -316,6 +329,7 @@ def test_pullback_of_identities(pieces):
     ident = ChainMap.identity(cx)
     pb, p1, p2 = degreewise_pullback(ident, ident)
     assert is_quasi_iso(p1).passed and is_quasi_iso(p2).passed
+    _assert_degreewise_pullback_groups(pb, ident, ident)
 
 
 @given(pieces_st, pieces_st)
@@ -327,6 +341,7 @@ def test_pullback_over_zero_is_sum(p1, p2):
     g = ChainMap.zero_map(y, zero_complex())
     pb, _, _ = degreewise_pullback(f, g)
     assert homology(pb) == homology(direct_sum(x, y))
+    _assert_degreewise_pullback_groups(pb, f, g)
 
 
 def test_pullback_of_surjection_against_zero_is_kernel():
@@ -334,9 +349,14 @@ def test_pullback_of_surjection_against_zero_is_kernel():
     p = sphere_complex(0)
     q = ChainMap(x, p, (IntegerMatrix.from_rows([[0, 1]]), IntegerMatrix.zero(0, 1)))
     z = ChainMap.zero_map(zero_complex(), p)
-    pb, _, _ = degreewise_pullback(q, z)
-    ker, _ = degreewise_kernel(q)
+    pb, p1, p2 = degreewise_pullback(q, z)
+    ker, incl = degreewise_kernel(q)
     assert homology(pb) == homology(ker) == homology(moore_complex(2, 0))
+    _assert_degreewise_pullback_groups(pb, q, z)
+    # with a zero leg source, A + 0 is A itself, so the pullback is the kernel
+    assert (pb, p1) == (ker, incl) and p2.target.is_zero
+    pb, p1, p2 = degreewise_pullback(z, q)
+    assert (pb, p2) == (ker, incl) and p1.target.is_zero
 
 
 def test_cokernel_complex_of_multiplication():

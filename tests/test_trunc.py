@@ -197,6 +197,12 @@ def test_cover_splits_homology_at_the_cut(pieces, k):
             assert induced_map(j, i).is_iso()
         else:
             assert homology_group(c, i).is_zero
+    # above the cycles at k + 1 the cover is x itself, included by identities
+    for i in range(k + 2, x.top_deg + 1):
+        assert c.pres_at(i) == x.pres_at(i)
+        assert j.component_at(i) == IntegerMatrix.identity(x.pres_at(i).generators)
+        if i > k + 2:
+            assert c.diff_at(i) == x.diff_at(i)
 
 
 # ---------------------------------------------------------------------------
