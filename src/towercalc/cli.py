@@ -38,7 +38,6 @@ from .gen import GenProfile, generate, random_complex
 from .hofib import derived_counit_check, layer_equivalence_check
 from .holim import hypercomplete_check, milnor_check, tower_limit, uct_ladder
 from .sections import (
-    CospanSection,
     TowerSection,
     is_homotopy_cartesian,
     is_post_fibrant,
@@ -110,8 +109,7 @@ def _inputs(*paths: str) -> dict:
 
 def _load(path: str, kind: str):
     obj = serialize.load(path)
-    if not isinstance(obj, {"complex": ChainComplex, "tower": TowerSection,
-                            "cospan": CospanSection}[kind]):
+    if not isinstance(obj, serialize.KINDS[kind]):
         raise ValidationError(path, f"expected a {kind} document")
     return obj
 

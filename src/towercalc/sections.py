@@ -1,11 +1,14 @@
-"""Sections of truncation towers and cospans of complexes.
+"""Sections over a finite quiver: towers and cospans of complexes.
 
-A tower section is a finite prefix X_0, ..., X_m with structure maps
-X_{i+1} -> X_i; it derives its stabilization index, the level from which it
-is literally constant, instead of taking one on trust.  A cospan section is
-a diagram X_1 -> X_0 <- X_2 with a localization `Tag` on each vertex; this
-module is the one reader of the tag text and of the prime lists in it.
-Morphisms are componentwise chain maps whose squares commute, verified at
+A `Section` is a diagram of complexes over a finite quiver with no
+composition relations: one complex per vertex, one chain map per edge, and
+one localization `Tag` per vertex.  Towers and cospans are its two shapes.
+A tower X_m -> ... -> X_1 -> X_0 tags level i `ptype:i`, the P_i-local
+structure of the Postnikov presheaf, and derives its stabilization index,
+the level from which it is literally constant, instead of taking one on
+trust.  A cospan X_1 -> X_0 <- X_2 carries the tags it is given; this module
+is the one reader of the tag text and of the prime lists in it.  Morphisms
+are vertexwise chain maps whose square over every edge commutes, verified at
 construction.
 
 The predicates below decide the model-structure classes that make sense
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import (
@@ -42,48 +45,6 @@ from .exactalg import (
     solve_matrix,
 )
 from .trunc import is_n_type, is_Pn_weq, postnikov_section
-
-# ---------------------------------------------------------------------------
-# section types
-
-
-@dataclass(frozen=True)
-class TowerSection:
-    """Levels X_0 ... X_m with structure maps X_{i+1} -> X_i.
-
-    `stabilization` is derived at construction: the least s such that every
-    structure map from level s on is the identity of one complex (its
-    components are identity matrices), so levels s ... m coincide."""
-
-    complexes: tuple[ChainComplex, ...]
-    structure_maps: tuple[ChainMap, ...]
-    stabilization: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "complexes", tuple(self.complexes))
-        object.__setattr__(self, "structure_maps", tuple(self.structure_maps))
-        if len(self.complexes) != len(self.structure_maps) + 1:
-            raise IllFormedMap("a tower of m+1 levels needs exactly m structure maps")
-        for i, m in enumerate(self.structure_maps):
-            if m.source != self.complexes[i + 1] or m.target != self.complexes[i]:
-                raise IllFormedMap(f"structure map {i} does not go from level {i + 1} to level {i}")
-        s = self.length
-        while s > 0 and _is_identity(self.structure_maps[s - 1]):
-            s -= 1
-        object.__setattr__(self, "stabilization", s)
-
-    @property
-    def length(self) -> int:
-        return len(self.structure_maps)
-
-    def level(self, i: int) -> ChainComplex:
-        return self.complexes[i]
-
-
-def _is_identity(f: ChainMap) -> bool:
-    return f.source == f.target and all(
-        c == IntegerMatrix.identity(c.rows) for c in f.components)
-
 
 # ---------------------------------------------------------------------------
 # localization tags and the integers they are spelled with
@@ -144,83 +105,109 @@ class Tag:
         return f"ptype:{self.level}" if self.kind == "ptype" else self.kind
 
 
-@dataclass(frozen=True)
-class CospanSection:
-    """x1 --left--> x0 <--right-- x2 with a localization `Tag` per vertex,
-    listed in the order (x1, x0, x2).  Tags given as text go through
-    `Tag.parse`, so a malformed one raises InputError.  A `ptype` middle tag
-    is the level `is_homotopy_cartesian` compares the legs at."""
+# ---------------------------------------------------------------------------
+# section types
 
-    x1: ChainComplex
-    x0: ChainComplex
-    x2: ChainComplex
-    left: ChainMap
-    right: ChainMap
-    tags: tuple[Tag, Tag, Tag] = (Tag(), Tag(), Tag())
+
+@dataclass(frozen=True)
+class Section:
+    """Complexes over a finite quiver: `maps[e]` goes from vertex
+    `edges[e][0]` to vertex `edges[e][1]`, and each vertex has one `Tag`
+    (text goes through `Tag.parse`, so a malformed one raises InputError).
+    A shape names the homotopy-cartesian check of each edge in `edge_checks`."""
+
+    vertices: tuple[ChainComplex, ...]
+    edges: tuple[tuple[int, int], ...]
+    maps: tuple[ChainMap, ...]
+    tags: tuple[Tag, ...]
 
     def __post_init__(self):
-        tags = tuple(self.tags)
-        if self.left.source != self.x1 or self.left.target != self.x0:
-            raise IllFormedMap("left leg must map x1 to x0")
-        if self.right.source != self.x2 or self.right.target != self.x0:
-            raise IllFormedMap("right leg must map x2 to x0")
-        if len(tags) != 3:
+        if len(self.maps) != len(self.edges):
+            raise IllFormedMap("one map per edge required")
+        for e, ((s, t), f) in enumerate(zip(self.edges, self.maps)):
+            if f.source != self.vertices[s] or f.target != self.vertices[t]:
+                raise IllFormedMap(f"map {e} does not go from vertex {s} to vertex {t}")
+        if len(self.tags) != len(self.vertices):
             raise IllFormedMap("one localization tag per vertex required")
         object.__setattr__(self, "tags", tuple(
-            t if isinstance(t, Tag) else Tag.parse(t) for t in tags))
+            t if isinstance(t, Tag) else Tag.parse(t) for t in self.tags))
+
+
+@dataclass(frozen=True, init=False)
+class TowerSection(Section):
+    """Levels X_0 ... X_m with structure maps X_{i+1} -> X_i, level i tagged
+    `ptype:i`.  `stabilization` is derived at construction: the least s such
+    that every structure map from level s on is the identity of one complex
+    (its components are identity matrices), so levels s ... m coincide."""
+
+    def __init__(self, complexes, structure_maps):
+        complexes, maps = tuple(complexes), tuple(structure_maps)
+        if len(complexes) != len(maps) + 1:
+            raise IllFormedMap("a tower of m+1 levels needs exactly m structure maps")
+        super().__init__(complexes, tuple((i + 1, i) for i in range(len(maps))), maps,
+                         tuple(Tag("ptype", level=i) for i in range(len(complexes))))
+        s = self.length
+        while s > 0 and _is_identity(maps[s - 1]):
+            s -= 1
+        object.__setattr__(self, "stabilization", s)
+
+    complexes = property(lambda self: self.vertices)
+    structure_maps = property(lambda self: self.maps)
+    length = property(lambda self: len(self.maps))
+    edge_checks = property(lambda self: ("structure_map_weq",) * self.length)
+
+    def level(self, i: int) -> ChainComplex:
+        return self.vertices[i]
+
+
+def _is_identity(f: ChainMap) -> bool:
+    return f.source == f.target and all(
+        c == IntegerMatrix.identity(c.rows) for c in f.components)
+
+
+@dataclass(frozen=True, init=False)
+class CospanSection(Section):
+    """x1 --left--> x0 <--right-- x2: vertices (x1, x0, x2) with one tag
+    each, in that order, and edges 0 -> 1 and 2 -> 1.  A `ptype` middle tag
+    is the level `is_homotopy_cartesian` compares the legs at."""
+
+    def __init__(self, x1, x0, x2, left, right, tags=(Tag(), Tag(), Tag())):
+        super().__init__((x1, x0, x2), ((0, 1), (2, 1)), (left, right), tuple(tags))
+
+    x1 = property(lambda self: self.vertices[0])
+    x0 = property(lambda self: self.vertices[1])
+    x2 = property(lambda self: self.vertices[2])
+    left = property(lambda self: self.maps[0])
+    right = property(lambda self: self.maps[1])
+    edge_checks = ("left_leg_weq", "right_leg_weq")
 
 
 @dataclass(frozen=True)
 class SectionMorphism:
-    """Componentwise chain maps between two tower sections or two cospan
-    sections; every naturality square is verified at construction."""
+    """Vertexwise chain maps between two sections of one shape; the square
+    over every edge is verified at construction."""
 
-    source: TowerSection | CospanSection
-    target: TowerSection | CospanSection
+    source: Section
+    target: Section
     components: tuple[ChainMap, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if isinstance(self.source, TowerSection):
-            if not isinstance(self.target, TowerSection):
-                raise IllFormedMap("cannot map a tower section to a cospan section")
-            if self.source.length != self.target.length:
-                raise IllFormedMap("tower lengths differ")
-            if len(self.components) != self.source.length + 1:
-                raise IllFormedMap("one component per level required")
-            for i, c in enumerate(self.components):
-                if c.source != self.source.level(i) or c.target != self.target.level(i):
-                    raise IllFormedMap(f"component {i} does not match the levels")
-            for i in range(self.source.length):
-                walk = self.components[i].compose(self.source.structure_maps[i])
-                push = self.target.structure_maps[i].compose(self.components[i + 1])
-                if not chain_maps_agree(walk, push):
-                    raise IllFormedMap(f"square over structure map {i} does not commute")
-        else:
-            if not isinstance(self.target, CospanSection):
-                raise IllFormedMap("cannot map a cospan section to a tower section")
-            if len(self.components) != 3:
-                raise IllFormedMap("a cospan morphism has exactly three components")
-            m1, m0, m2 = self.components
-            pairs = ((m1, self.source.x1, self.target.x1),
-                     (m0, self.source.x0, self.target.x0),
-                     (m2, self.source.x2, self.target.x2))
-            for idx, (c, s, t) in enumerate(pairs):
-                if c.source != s or c.target != t:
-                    raise IllFormedMap(f"component {idx} does not match the vertices")
-            if not chain_maps_agree(m0.compose(self.source.left), self.target.left.compose(m1)):
-                raise IllFormedMap("left square does not commute")
-            if not chain_maps_agree(m0.compose(self.source.right), self.target.right.compose(m2)):
-                raise IllFormedMap("right square does not commute")
+        src, tgt, comps = self.source, self.target, self.components
+        if type(src) is not type(tgt) or src.edges != tgt.edges:
+            raise IllFormedMap("source and target sections differ in shape")
+        if len(comps) != len(src.vertices):
+            raise IllFormedMap("one component per vertex required")
+        for v, c in enumerate(comps):
+            if c.source != src.vertices[v] or c.target != tgt.vertices[v]:
+                raise IllFormedMap(f"component {v} does not match the vertices")
+        for e, (s, t) in enumerate(src.edges):
+            if not chain_maps_agree(comps[t].compose(src.maps[e]), tgt.maps[e].compose(comps[s])):
+                raise IllFormedMap(f"square over edge {e} does not commute")
 
 
-def identity_morphism(section) -> SectionMorphism:
-    if isinstance(section, TowerSection):
-        comps = tuple(ChainMap.identity(c) for c in section.complexes)
-    else:
-        comps = (ChainMap.identity(section.x1), ChainMap.identity(section.x0),
-                 ChainMap.identity(section.x2))
-    return SectionMorphism(section, section, comps)
+def identity_morphism(section: Section) -> SectionMorphism:
+    return SectionMorphism(section, section, tuple(map(ChainMap.identity, section.vertices)))
 
 
 def constant_tower(x: ChainComplex, m: int) -> TowerSection:
@@ -349,16 +336,12 @@ def _replaced_weq(structure_map: ChainMap, level, check_name: str) -> Certificat
     return failed(check_name, level=level, via="cofibrant_replacement", **detail)
 
 
-def is_homotopy_cartesian(section) -> Certificate:
-    """Every structure map becomes an equivalence (at the level's truncation)
-    after cofibrant replacement of its source."""
-    if isinstance(section, TowerSection):
-        checks = [_replaced_weq(m, i, "structure_map_weq")
-                  for i, m in enumerate(section.structure_maps)]
-        return bundle("homotopy_cartesian", checks)
-    checks = [_replaced_weq(section.left, section.tags[1].level, "left_leg_weq"),
-              _replaced_weq(section.right, section.tags[1].level, "right_leg_weq")]
-    return bundle("homotopy_cartesian", checks)
+def is_homotopy_cartesian(section: Section) -> Certificate:
+    """Every edge map becomes an equivalence (through its target's `ptype`
+    level, if it has one) after cofibrant replacement of its source."""
+    return bundle("homotopy_cartesian", [
+        _replaced_weq(f, section.tags[t].level, name)
+        for f, (_, t), name in zip(section.maps, section.edges, section.edge_checks)])
 
 
 def is_tow_cofibrant(t: TowerSection) -> Certificate:

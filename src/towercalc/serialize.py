@@ -182,6 +182,8 @@ def cospan_to_doc(s: CospanSection) -> dict:
 # ---------------------------------------------------------------------------
 # files
 
+KINDS = {"complex": ChainComplex, "tower": TowerSection, "cospan": CospanSection}
+
 
 def object_from_doc(doc, where: str):
     if not isinstance(doc, dict):

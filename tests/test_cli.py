@@ -12,7 +12,7 @@ from towercalc.complexes import direct_sum_map
 from towercalc.exactalg import PRIME_CERTIFY_BOUND
 from towercalc.fracture import PrimePartition, fracture_cospan
 from towercalc.sections import CospanSection
-from towercalc.serialize import save
+from towercalc.serialize import load, save
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MOORE = str(FIXTURES / "moore_6.json")
@@ -57,13 +57,20 @@ def test_tower_and_milnor_on_the_bundled_tower(capsys):
     assert run(capsys, "milnor", TOWER)[0] == 0
 
 
-def test_section_checks_pass_on_the_bundled_documents(capsys):
+def test_section_checks_pass_on_the_bundled_documents(capsys, tmp_path):
     assert run(capsys, "section", "check-tower", TOWER)[0] == 0
     assert run(capsys, "section", "check-cospan", COSPAN)[0] == 0
+    # identity legs compared through a huge truncation level finish at once
+    x = load(MOORE)
+    i = ChainMap.identity(x)
+    path = tmp_path / "huge_ptype.json"
+    save(CospanSection(x, x, x, i, i, ("plain", f"ptype:{10**18}", "plain")), path)
+    assert run(capsys, "section", "check-cospan", str(path))[0] == 0
 
 
 def test_truncate_cover_layer_uct_homcx_hofib(capsys):
     assert run(capsys, "truncate", MOORE, "--n", "0")[0] == 0
+    assert run(capsys, "truncate", MOORE, "--n", str(10**18))[0] == 0
     assert run(capsys, "cover", MOORE, "--k", "0")[0] == 0
     assert run(capsys, "layer", MOORE, "--k", "-1")[0] == 0
     assert run(capsys, "uct", MOORE, MOORE, "--n", "1")[0] == 0

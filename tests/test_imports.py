@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or re-exported, the
-modules where input enters never reach the trusted build path, and only
-`sections` spells localization-tag text.
+modules where input enters never reach the trusted build path, only
+`sections` spells localization-tag text, and only `sections` and
+`serialize` decide a section's shape.
 
 A stdlib `ast` scan: an imported name counts as used when the module reads
 it anywhere (annotations included) or lists it in `__all__`.
@@ -76,3 +77,24 @@ def test_only_sections_spells_tag_text(path):
     assert tag_spellings(SRC / "sections.py")  # the scan sees the grammar
     if path.name != "sections.py":
         assert tag_spellings(path) == []
+
+
+def shape_branches(path: Path) -> list[str]:
+    """Every `isinstance` call in the module that names `TowerSection` or
+    `CospanSection` anywhere in its arguments."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(isinstance(n, ast.Name) and n.id in ("TowerSection", "CospanSection")
+                    for arg in node.args for n in ast.walk(arg))]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_sections_and_serialize_test_section_shapes(path):
+    """Towers and cospans are one `Section` type walked edge by edge; a
+    branch on which shape it holds belongs in `sections`, or in `serialize`,
+    which writes each shape's own document format."""
+    assert shape_branches(SRC / "serialize.py")  # the scan sees a shape branch
+    if path.name not in ("sections.py", "serialize.py"):
+        assert shape_branches(path) == []

@@ -101,9 +101,22 @@ def test_cospan_checks_leg_endpoints():
 def test_morphism_squares_must_commute():
     s = sphere_complex(0)
     tower = constant_tower(s, 1)
+    i = ChainMap.identity(s)
     double = ChainMap(s, s, (IntegerMatrix.from_rows([[2]]),))
-    with pytest.raises(IllFormedMap):
-        SectionMorphism(tower, tower, (ChainMap.identity(s), double))
+    cospan = CospanSection(s, s, s, i, i)
+    assert identity_morphism(cospan).components == (i, i, i)
+    bad = [
+        (tower, tower, (i, double)),
+        (tower, cospan, (i, i, i)),  # a tower -> cospan morphism
+        (tower, constant_tower(s, 2), (i, i)),  # towers of different lengths
+        (tower, tower, (i, i, i)),  # the wrong number of components
+        (tower, tower, (i, ChainMap.identity(sphere_complex(1)))),  # wrong endpoints
+        (constant_tower(s, 0), constant_tower(sphere_complex(1), 0), (i,)),  # wrong target
+        (cospan, cospan, (i, i, double)),  # the right square does not commute
+    ]
+    for source, target, components in bad:
+        with pytest.raises(IllFormedMap):
+            SectionMorphism(source, target, components)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +377,7 @@ def test_derived_stabilization_is_the_least_constant_index(pieces, extra):
     m = max(x.top_deg, 0) + extra
     post = postnikov_tower(x, m)
     assert post.stabilization == max(0, min(x.top_deg, m))
+    assert [str(t) for t in post.tags] == [f"ptype:{i}" for i in range(m + 1)]
     free, _ = free_postnikov_tower(x, m)
     const = constant_tower(x, extra)
     assert const.stabilization == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from towercalc.complexes import (
     ChainComplex,
+    ChainMap,
     HomologyProfile,
     direct_sum,
     disk_complex,
@@ -154,6 +155,9 @@ def test_truncated_weq_ignores_degrees_above_the_cut():
     assert is_Pn_weq(q, 1).passed
     assert not is_quasi_iso(q).passed
     assert not is_Pn_weq(q, 2).passed
+    # the degree walk stops at the top degree, so a huge level costs nothing
+    assert is_Pn_weq(ChainMap.identity(x), 10**18).passed
+    assert is_Pn_weq(q, 10**18).witness["degree"] == 2
 
 
 # ---------------------------------------------------------------------------
