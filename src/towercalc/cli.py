@@ -8,6 +8,10 @@ and flags.  Exit codes: 0 every check passed, 1 at least one check failed,
 2 the input could not be used (parse error, broken document, unusable
 arguments), 3 internal error (a defect in towercalc; the traceback goes to
 stderr).
+
+`main(argv)` may be called repeatedly in one process: the argument parser is
+built on the first call and reused, and each call parses into a fresh
+namespace.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import serialize
@@ -33,6 +38,7 @@ from .errors import (
     PartitionTooSmall,
     ValidationError,
 )
+from .exactalg import BUILD_CACHE_MAXSIZE
 from .fracture import PrimePartition, arithmetic_square_check, cospan_model_check
 from .gen import GenProfile, generate, random_complex
 from .hofib import derived_counit_check, layer_equivalence_check
@@ -263,7 +269,16 @@ def _cmd_generate(args):
 # wiring
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first `main()` call of a process
+    and reused by every later one.
+
+    argparse keeps no per-parse state on a parser or its actions: each
+    `parse_args` fills a fresh namespace from the action defaults.  The cache
+    holds one entry; its bound is BUILD_CACHE_MAXSIZE because every towercalc
+    cache is bounded by one of the two library constants.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", metavar="PATH",
                         help="also write the machine-readable report here")
@@ -390,8 +405,12 @@ def _run(args) -> int:
         sys.stdout.write(report.text() if args.format == "text"
                          else report.machine_text())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.machine_text())
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.machine_text())
+        except OSError as err:
+            raise InputError(f"--report {args.report}: cannot write the report "
+                             f"({err.strerror or err})") from err
     return 0 if report.verdict else 1
 
 

@@ -365,9 +365,11 @@ def is_tow_cofibrant(t: TowerSection) -> Certificate:
 
 def postnikov_tower(x: ChainComplex, m: int) -> TowerSection:
     """The section (P_n x)_{n <= m} with its quotient structure maps; m must
-    clear the top degree so the prefix reaches the stable range."""
-    if m < x.top_deg:
-        raise InputError(f"length {m} does not reach the top degree {x.top_deg}")
+    clear the top degree so the prefix reaches the stable range, and be at
+    least 0 so the tower has a level."""
+    if m < max(x.top_deg, 0):
+        raise InputError(f"length {m} does not reach the top degree {x.top_deg} "
+                         "or level 0")
     levels = [postnikov_section(x, n)[0] for n in range(m + 1)]
     maps = [postnikov_section(levels[n + 1], n)[1] for n in range(m)]
     return TowerSection(tuple(levels), tuple(maps))
@@ -382,8 +384,9 @@ def free_postnikov_tower(x: ChainComplex, m: int):
     degree n+1 with a basis of the image of the differential, which is again
     free and kills all homology above n.
     """
-    if m < x.top_deg:
-        raise InputError(f"length {m} does not reach the top degree {x.top_deg}")
+    if m < max(x.top_deg, 0):
+        raise InputError(f"length {m} does not reach the top degree {x.top_deg} "
+                         "or level 0")
     base = postnikov_tower(x, m)
     free, q = cofibrant_replacement(x)
 

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from towercalc import cli
 from towercalc.cli import main
@@ -187,6 +190,32 @@ def test_report_flag_writes_the_machine_document(capsys, tmp_path):
     _, out = run(capsys, "homology", MOORE, "--format", "machine",
                  "--report", str(path))
     assert path.read_text() == out
+    written = path.read_bytes()
+    # the parser is shared across calls: a failed parse and a later call
+    # without flags must not see this call's --format or --report
+    with pytest.raises(SystemExit) as exc:
+        main(["truncate", MOORE])
+    assert exc.value.code == 2
+    code, out = run(capsys, "homology", MOORE)
+    assert code == 0
+    assert out.startswith("command: homology\n")
+    assert path.read_bytes() == written
+
+
+def test_a_second_call_builds_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["homology", MOORE]) == 0
+    first = len(built)
+    assert first > 0
+    assert main(["homology", MOORE]) == 0
+    assert len(built) == first
 
 
 GOLDEN = [
@@ -242,7 +271,12 @@ def test_typed_input_errors_exit_two(capsys, tmp_path):
     broken.write_text(json.dumps(doc))
     assert main(["homology", str(broken)]) == 2
     assert main(["homology", str(FIXTURES / "invalid_d2.json")]) == 2
+    # a report path in a missing directory, and a directory as the report path
+    missing, directory = tmp_path / "missing" / "r.json", tmp_path
+    assert main(["homology", MOORE, "--report", str(missing)]) == 2
+    assert main(["homology", MOORE, "--report", str(directory)]) == 2
     err = capsys.readouterr().err
+    assert f"--report {missing}" in err and f"--report {directory}" in err
     assert "internal error" not in err
 
 

@@ -337,6 +337,18 @@ def test_tower_length_must_reach_the_top_degree():
         postnikov_tower(sphere_complex(3), 1)
 
 
+def test_tower_length_below_level_zero_is_an_input_error():
+    # a negative top degree must not let a length below 0 through to an empty tower
+    with pytest.raises(InputError):
+        postnikov_tower(sphere_complex(2), 1)
+    for build in (postnikov_tower, free_postnikov_tower):
+        for x in (zero_complex(), sphere_complex(-2)):
+            with pytest.raises(InputError):
+                build(x, -1)
+    assert postnikov_tower(zero_complex(), 0).length == 0
+    assert postnikov_tower(sphere_complex(-2), 0).length == 0
+
+
 @given(pieces_st)
 @settings(max_examples=25, deadline=None)
 def test_postnikov_tower_is_fibrant_and_its_free_model_is_cofibrant(pieces):
