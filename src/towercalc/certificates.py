@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 def _jsonable(value):
     if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    # exact types: matrices and other tuple-backed records render by str below
+    if type(value) in (list, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)

@@ -8,8 +8,9 @@ zero.
 Validation
 ----------
 `ChainComplex`, `ChainMap` and `exactalg.GroupMap` check in two stages:
-`_normalise` makes tuples, strips zero end degrees and checks shapes and
-counts; `_check_lattice` checks, modulo relations, that relations go to
+`_normalise`, which both constructors run, makes tuples, strips zero end
+degrees and checks shapes and counts; each class's own `__init__` is the
+lattice check, which verifies, modulo relations, that relations go to
 relations, d^2 = 0 and every square commutes, skipping only checks already
 decided (no relation columns, or a square whose sides are equal matrices).
 The public constructors run both, so documents (`serialize`, `cli`), `gen`
@@ -31,11 +32,14 @@ build.
 
 Caches
 ------
-Every object here is a frozen dataclass compared by structure, and every
-cached function is a pure function of such arguments that returns such
-values.  So an equal key may come from another caller's equal complex, the
-value handed back is shared without risk, and an evicted entry is simply
-recomputed to an equal value.  A hit builds nothing.
+Complexes and maps here are tuple-backed records (`exactalg.Record`), as are
+the matrices and presentations they hold, and the other objects are frozen
+dataclasses; all are immutable and compared by structure, and a record
+hashes in C without entering a Python frame.  Every cached function is a
+pure function of such arguments that returns such values.  So an equal key
+may come from another caller's equal complex, the value handed back is
+shared without risk, and an evicted entry is simply recomputed to an equal
+value.  A hit builds nothing.
 
 - `homology_data`, keyed by (complex, degree), keeps CACHE_MAXSIZE entries,
   like the Smith-form and group caches in `exactalg`.
@@ -57,6 +61,7 @@ recomputed to an equal value.  A hit builds nothing.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,28 +96,26 @@ def _matrix_from_items(rows: int, cols: int, items) -> IntegerMatrix:
 # complexes
 
 
-@dataclass(frozen=True)
-class ChainComplex(Trusted):
+class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differentials")):
     """min_deg plus a contiguous run of degree presentations; differentials[j]
     maps degree min_deg+j+1 to degree min_deg+j on generators."""
 
-    min_deg: int
-    degrees: tuple[Presentation, ...]
-    differentials: tuple[IntegerMatrix, ...]
+    __slots__ = ()
 
-    def _normalise(self):
-        degs = tuple(self.degrees)
-        diffs = tuple(self.differentials)
+    @staticmethod
+    def _normalise(min_deg, degrees, differentials):
+        degs = tuple(degrees)
+        diffs = tuple(differentials)
         if len(diffs) != max(0, len(degs) - 1):
             raise ValidationError("complex", "differential count must be degree count minus one")
         for j, d in enumerate(diffs):
             if d.rows != degs[j].generators or d.cols != degs[j + 1].generators:
                 raise ValidationError(
-                    f"degree {self.min_deg + j + 1}",
+                    f"degree {min_deg + j + 1}",
                     f"differential shape {d.rows}x{d.cols} does not match "
                     f"{degs[j].generators}x{degs[j + 1].generators}")
         # strip zero-generator degrees at both ends so equality is structural
-        mn = self.min_deg
+        mn = min_deg
         while degs and degs[0].generators == 0:
             mn += 1
             degs = degs[1:]
@@ -122,11 +125,10 @@ class ChainComplex(Trusted):
             diffs = diffs[:-1] if diffs else ()
         if not degs:
             mn = 0
-        object.__setattr__(self, "min_deg", mn)
-        object.__setattr__(self, "degrees", degs)
-        object.__setattr__(self, "differentials", diffs)
+        return mn, degs, diffs
 
-    def _check_lattice(self):
+    def __init__(self, *fields):
+        """The lattice check (see "Validation")."""
         degs, diffs = self.degrees, self.differentials
         for j, d in enumerate(diffs):
             rel = degs[j + 1].relations  # with no relation columns there is nothing to carry
@@ -202,29 +204,28 @@ def moore_complex(t: int, n: int = 0) -> ChainComplex:
 # chain maps
 
 
-@dataclass(frozen=True)
-class ChainMap(Trusted):
+class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
     """Degreewise map of complexes; components are stored over the source's
     window (outside it every component is forced zero).  Construction checks
     degreewise well-definedness and commutation with the differentials."""
 
-    source: ChainComplex
-    target: ChainComplex
-    components: tuple[IntegerMatrix, ...]
+    __slots__ = ()
 
-    def _normalise(self):
-        comps = tuple(self.components)
-        if len(comps) != len(self.source.degrees):
+    @staticmethod
+    def _normalise(source, target, components):
+        comps = tuple(components)
+        if len(comps) != len(source.degrees):
             raise IllFormedMap("one component per source degree required")
-        object.__setattr__(self, "components", comps)
-        for i, sp, f in zip(self.source.span(), self.source.degrees, comps):
-            tp = self.target.pres_at(i)
+        for i, sp, f in zip(source.span(), source.degrees, comps):
+            tp = target.pres_at(i)
             if f.rows != tp.generators or f.cols != sp.generators:
                 raise IllFormedMap(
                     f"component at degree {i} has shape {f.rows}x{f.cols}, "
                     f"expected {tp.generators}x{sp.generators}")
+        return source, target, comps
 
-    def _check_lattice(self):
+    def __init__(self, *fields):
+        """The lattice check (see "Validation")."""
         for i, sp, f in zip(self.source.span(), self.source.degrees, self.components):
             if sp.relations.cols and not self.target.pres_at(i).contains_in_relations(f @ sp.relations):
                 raise IllFormedMap(f"component at degree {i} does not respect relations")

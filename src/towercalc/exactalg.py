@@ -26,10 +26,11 @@ entries.  The four lattice entry points `solve_matrix`, `preimage_lattice`,
 `column_basis` and `subquotient` are memos of BUILD_CACHE_MAXSIZE entries:
 every homotopy limit downstream (tower limits, fibered products, homotopy
 fibers) comes down to subquotients, and one complex's battery of checks asks
-for the same ones again and again.  Their arguments and values are frozen
-matrices and presentations (or None), so a hit hands back a value equal to
-a fresh computation.  `lattice_contains` is not memoized: its zero-vector
-and zero-lattice exits run before any lookup, and the rest reaches the
+for the same ones again and again.  Their arguments and values are matrices
+and presentations (or None): immutable tuple-backed records (see `Record`),
+compared and hashed by structure, so a hit hands back a value equal to a
+fresh computation.  `lattice_contains` is not memoized: its zero-vector and
+zero-lattice exits run before any lookup, and the rest reaches the
 `solve_matrix` memo.
 
 Conventions
@@ -43,6 +44,7 @@ document layout of one relation per row.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -68,22 +70,49 @@ BUILD_CACHE_MAXSIZE = 64
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record(tuple):
+    """Base of the value types that key the caches: `IntegerMatrix`,
+    `Presentation`, `GroupMap` and, in `complexes`, `ChainComplex` and
+    `ChainMap`.  Each is a tuple of its fields, named by `namedtuple`, so
+    building one is a single `tuple.__new__` and hashing recurses through
+    the nested records in C, entering no Python frame.  A record equals only
+    a record of its own type with equal fields, and the tuple operators `+`,
+    `*` and ordering are switched off: a record is a value, not a sequence."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    def _unsupported(self, other):
+        return NotImplemented
+
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _unsupported
+    del _unsupported
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record, namedtuple("IntegerMatrix", "rows cols entries")):
     """Immutable row-major integer matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @staticmethod
     def from_rows(rows_data) -> "IntegerMatrix":
@@ -707,17 +736,16 @@ def tensor_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:
 # presentations, maps, subquotients
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record, namedtuple("Presentation", "generators relations")):
     """Z^generators modulo the column span of `relations`, a generators x k
     matrix holding one relation per column."""
 
-    generators: int
-    relations: IntegerMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relations.rows != self.generators:
+    def __new__(cls, generators: int, relations: IntegerMatrix):
+        if relations.rows != generators:
             raise ValueError("relation height must equal generator count")
+        return tuple.__new__(cls, (generators, relations))
 
     @staticmethod
     @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
@@ -779,43 +807,40 @@ def subgroup_presentation(ambient: Presentation, lattice_gens: IntegerMatrix):
     return subquotient(lattice_gens.hstack(ambient.relations), ambient.relations)
 
 
-class Trusted:
-    """Base of `GroupMap`, `ChainComplex` and `ChainMap`: the public constructor
-    runs `_normalise` and `_check_lattice`, `_trusted` only `_normalise`.  See
-    "Validation" in `complexes` for what each does and when trust is sound."""
+class Trusted(Record):
+    """Base of `GroupMap`, `ChainComplex` and `ChainMap`.  Both the public
+    constructor and `_trusted` build the tuple of the fields that the static
+    `_normalise` returns; only the public constructor goes on to run the
+    class's own `__init__`, its lattice check.  See "Validation" in
+    `complexes` for what each does and when trust is sound."""
 
-    def __post_init__(self):
-        self._normalise()
-        self._check_lattice()
+    __slots__ = ()
 
-    @classmethod
-    def _trusted(cls, *fields):
-        obj = object.__new__(cls)
-        for name, value in zip(cls.__dataclass_fields__, fields):
-            object.__setattr__(obj, name, value)
-        obj._normalise()
-        return obj
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, cls._normalise(*fields))
+
+    _trusted = classmethod(__new__)
 
 
-@dataclass(frozen=True)
-class GroupMap(Trusted):
+class GroupMap(Trusted, namedtuple("GroupMap", "source target matrix")):
     """Homomorphism between presented groups, given on generators.
 
     Construction verifies well-definedness: the matrix must carry every
     source relation into the target relation lattice.
     """
 
-    source: Presentation
-    target: Presentation
-    matrix: IntegerMatrix
+    __slots__ = ()
 
-    def _normalise(self):
-        if self.matrix.cols != self.source.generators or self.matrix.rows != self.target.generators:
+    @staticmethod
+    def _normalise(source, target, matrix):
+        if matrix.cols != source.generators or matrix.rows != target.generators:
             raise IllFormedMap(
-                f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
-                f"{self.target.generators}x{self.source.generators}")
+                f"matrix shape {matrix.rows}x{matrix.cols} does not match "
+                f"{target.generators}x{source.generators}")
+        return source, target, matrix
 
-    def _check_lattice(self):
+    def __init__(self, *fields):
+        """The lattice check (see "Validation" in `complexes`)."""
         rel = self.source.relations  # with no relation columns there is nothing to carry
         if rel.cols and not self.target.contains_in_relations(self.matrix @ rel):
             raise IllFormedMap("matrix does not carry source relations into target relations")

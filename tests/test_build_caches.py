@@ -40,18 +40,18 @@ def test_a_second_check_at_a_cut_rebuilds_no_section_or_cover(monkeypatch):
     k = 0
     assert fiber_sequence_check(x, k).passed
     built = []
-    check = ChainMap.__post_init__
+    check = ChainMap.__init__
 
-    def counted(self):
+    def counted(self, *fields):
         frame = sys._getframe(1)
         while frame is not None:
             if frame.f_globals.get("__name__") == trunc.__name__:
                 built.append(frame.f_code.co_name)
                 break
             frame = frame.f_back
-        check(self)
+        check(self, *fields)
 
-    monkeypatch.setattr(ChainMap, "__post_init__", counted)
+    monkeypatch.setattr(ChainMap, "__init__", counted)
     assert derived_counit_check(x, k).passed
     assert built == []
 

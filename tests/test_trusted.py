@@ -87,7 +87,7 @@ def test_a_connecting_map_off_a_short_exact_pair_is_rejected():
 
 def _lattice_checks_in_constructors(monkeypatch, run) -> int:
     """How many `contains_in_relations` calls `run` makes from inside a
-    constructor's `__post_init__`."""
+    constructor's `__init__`, the lattice check."""
     count = 0
     contains = Presentation.contains_in_relations
 
@@ -95,7 +95,7 @@ def _lattice_checks_in_constructors(monkeypatch, run) -> int:
         nonlocal count
         frame = sys._getframe(1)
         while frame is not None:
-            if frame.f_code.co_name == "__post_init__":
+            if frame.f_code.co_name == "__init__":
                 count += 1
                 break
             frame = frame.f_back
