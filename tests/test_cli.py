@@ -224,6 +224,15 @@ GOLDEN = [
      "fracture_moore6.report.json"),
     (["milnor", TOWER], "milnor_tower_moore6.report.json"),
     (["section", "check-cospan", COSPAN], "section_cospan_moore6.report.json"),
+    (["truncate", MOORE, "--n", "0"], "truncate_moore6.report.json"),
+    (["cover", MOORE, "--k", "0"], "cover_moore6.report.json"),
+    (["layer", MOORE, "--k", "-1"], "layer_moore6.report.json"),
+    (["homcx", SPHERE, MOORE], "homcx_sphere2_moore6.report.json"),
+    (["uct", MOORE, MOORE, "--n", "1"], "uct_moore6.report.json"),
+    (["tower", TOWER], "tower_moore6.report.json"),
+    (["hofib", MOORE, "--k", "0"], "hofib_moore6.report.json"),
+    (["section", "check-tower", TOWER], "section_tower_moore6.report.json"),
+    (["hypercomplete", "--seed", "0", "--count", "3"], "hypercomplete_seed0.report.json"),
 ]
 
 
