@@ -10,6 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def int_text(n: int) -> str:
+    """n in decimal, or in hexadecimal past the int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 def _jsonable(value):
     if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str) or value is None:
         return value

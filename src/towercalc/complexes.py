@@ -39,7 +39,9 @@ hashes in C without entering a Python frame.  Every cached function is a
 pure function of such arguments that returns such values.  So an equal key
 may come from another caller's equal complex, the value handed back is
 shared without risk, and an evicted entry is simply recomputed to an equal
-value.  A hit builds nothing.
+value.  A hit builds nothing.  Builders here and in `exactalg` hand back an
+existing equal record where shapes or identity decide the result, so a hit
+on a shared key compares by identity.
 
 - `homology_data`, keyed by (complex, degree), keeps CACHE_MAXSIZE entries,
   like the Smith-form and group caches in `exactalg`.
@@ -152,14 +154,14 @@ class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differen
         return range(self.min_deg, self.top_deg + 1)
 
     def pres_at(self, i: int) -> Presentation:
-        if self.min_deg <= i <= self.top_deg:
-            return self.degrees[i - self.min_deg]
+        if 0 <= (j := i - self.min_deg) < len(self.degrees):
+            return self.degrees[j]
         return Presentation.free(0)
 
     def diff_at(self, i: int) -> IntegerMatrix:
         """d_i : degree i -> degree i-1 (zero-shaped outside the window)."""
-        if self.min_deg + 1 <= i <= self.top_deg:
-            return self.differentials[i - self.min_deg - 1]
+        if 0 <= (j := i - self.min_deg - 1) < len(self.differentials):
+            return self.differentials[j]
         return IntegerMatrix.zero(self.pres_at(i - 1).generators, self.pres_at(i).generators)
 
     @property
@@ -240,8 +242,8 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
                 raise IllFormedMap(f"square at degree {i} does not commute")
 
     def component_at(self, i: int) -> IntegerMatrix:
-        if self.source.min_deg <= i <= self.source.top_deg:
-            return self.components[i - self.source.min_deg]
+        if 0 <= (j := i - self.source.min_deg) < len(self.components):
+            return self.components[j]
         return IntegerMatrix.zero(self.target.pres_at(i).generators,
                                   self.source.pres_at(i).generators)
 
@@ -668,15 +670,3 @@ def _free_approximation(x: ChainComplex):
     )
     comps = tuple(q_comps[i - x.min_deg] for i in free.span())
     return free, ChainMap._trusted(free, x, comps)
-
-
-def complex_from_homology(profile: HomologyProfile) -> ChainComplex:
-    """A degreewise-free complex realizing the profile: one sphere summand per
-    free rank, one two-term t-multiplication block per invariant factor."""
-    out = zero_complex()
-    for d, g in profile.entries:
-        if g.rank:
-            out = direct_sum(out, sphere_complex(d, g.rank))
-        for t in g.torsion:
-            out = direct_sum(out, moore_complex(t, d))
-    return out

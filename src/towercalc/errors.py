@@ -6,6 +6,7 @@ types signal violated mathematical preconditions; CharacterizationMismatch
 alone is an implementation bug.  No type covers tower stabilization: a
 tower derives its index from its maps, so there is no claim to violate.
 """
+from .certificates import int_text
 
 
 class InputError(ValueError):
@@ -36,7 +37,8 @@ class PartitionTooSmall(Exception):
 
     def __init__(self, missing):
         self.missing = frozenset(missing)
-        super().__init__(f"partition leaves torsion factors {sorted(self.missing)} uncovered")
+        listed = ", ".join(map(int_text, sorted(self.missing)))
+        super().__init__(f"partition leaves torsion factors [{listed}] uncovered")
 
 
 class CharacterizationMismatch(Exception):

@@ -33,6 +33,12 @@ fresh computation.  `lattice_contains` is not memoized: its zero-vector and
 zero-lattice exits run before any lookup, and the rest reaches the
 `solve_matrix` memo.
 
+Builders hand back an existing equal record wherever shapes or object
+identity decide the result, reading no entries: a product with an empty
+dimension or with the shared identity, a stack onto an empty side, a Smith
+transform that no step touched.  Records are immutable, so sharing is safe,
+and a memo hit on a shared key compares by identity, not by structure.
+
 Conventions
 -----------
 Group elements are integer column vectors on a presentation's generators; a
@@ -50,6 +56,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, prod
 
+from .certificates import int_text
 from .errors import IllFormedMap, InputError
 
 # Entries kept by each normal-form cache (here and in complexes).  Unbounded,
@@ -80,7 +87,9 @@ class Record(tuple):
     building one is a single `tuple.__new__` and hashing recurses through
     the nested records in C, entering no Python frame.  A record equals only
     a record of its own type with equal fields, and the tuple operators `+`,
-    `*` and ordering are switched off: a record is a value, not a sequence."""
+    `*` and ordering are switched off: a record is a value, not a sequence.
+    Builders return an existing equal record where shapes or identity decide
+    the result (see "Caches"), so memo hits mostly compare by identity."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
@@ -170,6 +179,12 @@ class IntegerMatrix(Record, namedtuple("IntegerMatrix", "rows cols entries")):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n, m, k = self.rows, other.cols, self.cols
+        if not (n and m and k):
+            return IntegerMatrix.zero(n, m)
+        if n == k and self is IntegerMatrix.identity(k):
+            return other
+        if k == m and other is IntegerMatrix.identity(k):
+            return self
         a, b = self.entries, other.entries
         out = [0] * (n * m)
         for i in range(n):
@@ -201,6 +216,8 @@ class IntegerMatrix(Record, namedtuple("IntegerMatrix", "rows cols entries")):
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
+        if not (self.cols and other.cols):  # a side with no columns adds nothing
+            return self if not other.cols else other
         ent = []
         for i in range(self.rows):
             ent.extend(self.row(i))
@@ -210,9 +227,13 @@ class IntegerMatrix(Record, namedtuple("IntegerMatrix", "rows cols entries")):
     def vstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch")
+        if not (self.rows and other.rows):  # a side with no rows adds nothing
+            return self if not other.rows else other
         return IntegerMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def take_rows(self, start: int, stop: int) -> "IntegerMatrix":
+        if start == 0 and stop == self.rows:
+            return self
         return IntegerMatrix(stop - start, self.cols, self.entries[start * self.cols:stop * self.cols])
 
     @property
@@ -246,18 +267,20 @@ class IntegerMatrix(Record, namedtuple("IntegerMatrix", "rows cols entries")):
         return sign * a[n - 1][n - 1]
 
     def __str__(self):
-        return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
+        return "[" + "; ".join(" ".join(map(int_text, self.row(i))) for i in range(self.rows)) + "]"
 
 
 def block_diag(*mats: IntegerMatrix) -> IntegerMatrix:
-    cols = sum(m.cols for m in mats)
+    rows, cols = sum(m.rows for m in mats), sum(m.cols for m in mats)
+    if not (rows and cols):
+        return IntegerMatrix.zero(rows, cols)
     out: list[int] = []
     c = 0
     for m in mats:
         for i in range(m.rows):
             out.extend((0,) * c + m.row(i) + (0,) * (cols - c - m.cols))
         c += m.cols
-    return IntegerMatrix(sum(m.rows for m in mats), cols, tuple(out))
+    return IntegerMatrix(rows, cols, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +415,6 @@ class SnfDecomposition:
     U: IntegerMatrix
     V: IntegerMatrix
 
-    def diagonal_matrix(self, rows: int, cols: int) -> IntegerMatrix:
-        out = [[0] * cols for _ in range(rows)]
-        for i, di in enumerate(self.d):
-            out[i][i] = di
-        return IntegerMatrix.from_rows(out) if rows else IntegerMatrix.zero(0, cols)
-
     @property
     def rank(self) -> int:
         return sum(1 for x in self.d if x)
@@ -416,14 +433,15 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
     cached, keeping the CACHE_MAXSIZE most recently used matrices.
     """
     nr, nc, e = m.rows, m.cols, m.entries
-    a, u, vt = _diagonalize([list(e[i * nc:(i + 1) * nc]) for i in range(nr)],
-                            _identity_rows(nr), _identity_rows(nc))
+    u0, vt0 = _identity_rows(nr), _identity_rows(nc)
+    a, u, vt = _diagonalize([list(e[i * nc:(i + 1) * nc]) for i in range(nr)], u0, vt0)
     d = [a[i][i] for i in range(min(nr, nc))]
     rank = sum(1 for x in d if x)
     for i in range(rank):
         for j in range(i + 1, rank):
             x, y = d[i], d[j]
             if y % x:
+                u0 = vt0 = None  # the exchange below changes both transforms
                 g, s, t = _xgcd(x, y)
                 x, y = x // g, y // g
                 ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
@@ -432,8 +450,9 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
                 vt[i] = [p + q for p, q in zip(vi, vj)]
                 vt[j] = [s * x * q - t * y * p for p, q in zip(vi, vj)]
                 d[i], d[j] = g, g * x * y
-    return SnfDecomposition(tuple(d), IntegerMatrix(nr, nr, tuple(chain.from_iterable(u))),
-                            IntegerMatrix(nc, nc, tuple(chain.from_iterable(zip(*vt)))))
+    U = IntegerMatrix.identity(nr) if u is u0 else IntegerMatrix(nr, nr, tuple(chain.from_iterable(u)))
+    V = IntegerMatrix.identity(nc) if vt is vt0 else IntegerMatrix(nc, nc, tuple(chain.from_iterable(zip(*vt))))
+    return SnfDecomposition(tuple(d), U, V)
 
 
 def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
@@ -441,6 +460,8 @@ def integer_kernel(m: IntegerMatrix) -> IntegerMatrix:
     snf = smith_normal_form(m)
     lim = min(m.rows, m.cols)
     free = [j for j in range(lim) if snf.d[j] == 0] + list(range(lim, m.cols))
+    if len(free) == m.cols:  # every column of V, in order
+        return snf.V
     return IntegerMatrix.from_cols([snf.V.col(j) for j in free], rows=m.cols)
 
 
@@ -472,6 +493,8 @@ def solve_matrix(m: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
 def column_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis (as columns) of the column lattice of m: the nonzero columns of
     its column Hermite form."""
+    if m.rows == m.cols and m is IntegerMatrix.identity(m.rows):
+        return m
     return IntegerMatrix.from_cols(_hermite([list(c) for c in m.columns()]), rows=m.rows)
 
 
@@ -630,7 +653,7 @@ class FpAbelianGroup:
             parts.append("Z")
         elif self.rank:
             parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
+        parts.extend(f"Z/{int_text(t)}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
 
@@ -724,14 +747,6 @@ def ext_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:
     return FpAbelianGroup.from_orders(0, orders)
 
 
-def tensor_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:
-    """Bilinear with Z/t (x) Z/s = Z/gcd(t,s)."""
-    orders = [t for t in a.torsion for _ in range(b.rank)]
-    orders += [s for s in b.torsion for _ in range(a.rank)]
-    orders += [gcd(t, s) for t in a.torsion for s in b.torsion]
-    return FpAbelianGroup.from_orders(a.rank * b.rank, orders)
-
-
 # ---------------------------------------------------------------------------
 # presentations, maps, subquotients
 
@@ -763,12 +778,17 @@ class Presentation(Record, namedtuple("Presentation", "generators relations")):
         return group_from_presentation(self.relations)
 
     def direct_sum(self, other: "Presentation") -> "Presentation":
+        if not (self.generators or self.relations.cols):
+            return other
+        if not (other.generators or other.relations.cols):
+            return self
         rel = block_diag(self.relations, other.relations)
         return Presentation(self.generators + other.generators, rel)
 
     def quotient(self, vectors: IntegerMatrix) -> "Presentation":
         """This group modulo the classes of the columns of `vectors`."""
-        return Presentation(self.generators, self.relations.hstack(vectors))
+        rel = self.relations.hstack(vectors)
+        return self if rel is self.relations else Presentation(self.generators, rel)
 
     def contains_in_relations(self, vectors: IntegerMatrix) -> bool:
         return lattice_contains(self.relations, vectors)

@@ -125,11 +125,6 @@ def localize_group(g: FpAbelianGroup, primes: frozenset[int] | None) -> Localize
     return LocalizedGroup(primes, g.rank, parts)
 
 
-def localize_homology(x: ChainComplex, primes: frozenset[int] | None) -> dict[int, LocalizedGroup]:
-    """Localized homology in every degree of the span."""
-    return {i: localize_group(homology_group(x, i), primes) for i in x.span()}
-
-
 # ---------------------------------------------------------------------------
 # the algebraic fracture square
 

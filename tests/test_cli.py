@@ -146,6 +146,23 @@ def test_homology_of_a_4000_digit_moore_document_is_fast(capsys, tmp_path):
     assert f"value=Z/{entry}" in out
 
 
+def test_an_invariant_factor_past_the_digit_limit_renders_in_hex(capsys):
+    # relations (9...9, 1), (1, 7...7) with 4,000-digit entries present
+    # Z/(9...9 * 7...7 - 1), whose order has about 8,000 digits
+    huge = str(FIXTURES / "huge_invariant.json")
+    order = hex(int("9" * 4000) * int("7" * 4000) - 1)
+    code, out = run(capsys, "homology", huge)
+    assert code == 0
+    assert f"degree=0 value=Z/{order}" in out
+    code, out = run(capsys, "truncate", huge, "--n", "0", "--format", "machine")
+    assert code == 0
+    assert f"Z/{order}" in out
+    assert main(["fracture", huge, "--primes-j", "2", "--primes-k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "partition leaves torsion factors [0x" in err
+    assert "internal error" not in err
+
+
 def test_primes_past_the_certified_bound_exit_two(capsys, tmp_path):
     too_big = str(PRIME_CERTIFY_BOUND + 2)
     assert main(["fracture", MOORE, "--primes-j", "2,3", "--primes-k", too_big]) == 2

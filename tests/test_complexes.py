@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_caches
+from helpers import complex_from_homology
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
     HomologyProfile,
     cofibrant_replacement,
     cokernel_complex,
-    complex_from_homology,
     connecting_map,
     degreewise_kernel,
     degreewise_pullback,

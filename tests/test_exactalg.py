@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import diagonal_matrix, tensor_group
 from towercalc.errors import IllFormedMap
 from towercalc.exactalg import (
     FpAbelianGroup,
@@ -38,7 +39,6 @@ from towercalc.exactalg import (
     smith_normal_form,
     solve_matrix,
     subgroup_presentation,
-    tensor_group,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_snf_frozen_example():
     m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
     snf = smith_normal_form(m)
     assert snf.d == (2, 4)
-    assert (snf.U @ m @ snf.V) == snf.diagonal_matrix(2, 2)
+    assert (snf.U @ m @ snf.V) == diagonal_matrix(snf, 2, 2)
     assert abs(snf.U.det()) == 1
     assert abs(snf.V.det()) == 1
 
@@ -235,7 +235,7 @@ def test_snf_decomposition_properties(rows):
     m = IntegerMatrix.from_rows(rows)
     snf = smith_normal_form(m)
     # exact factorization
-    assert (snf.U @ m @ snf.V) == snf.diagonal_matrix(m.rows, m.cols)
+    assert (snf.U @ m @ snf.V) == diagonal_matrix(snf, m.rows, m.cols)
     # unimodular transforms (determinant is computed fraction-free, not via SNF)
     assert abs(snf.U.det()) == 1
     assert abs(snf.V.det()) == 1
@@ -287,7 +287,7 @@ def test_snf_against_sympy_and_bareiss(rows):
 
     m = IntegerMatrix.from_rows(rows)
     snf = smith_normal_form.__wrapped__(m)
-    assert snf.U @ m @ snf.V == snf.diagonal_matrix(m.rows, m.cols)
+    assert snf.U @ m @ snf.V == diagonal_matrix(snf, m.rows, m.cols)
     assert abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
     nonzero = [d for d in snf.d if d]
     if m.rows == m.cols:
@@ -346,7 +346,7 @@ def test_snf_beyond_the_old_wall_is_fast_and_bounded(kind, n, bits):
     started = time.perf_counter()
     snf = smith_normal_form.__wrapped__(m)
     assert time.perf_counter() - started < 1.0
-    assert snf.U @ m @ snf.V == snf.diagonal_matrix(n, n)
+    assert snf.U @ m @ snf.V == diagonal_matrix(snf, n, n)
     if d is not None:
         assert snf.d == d
     peak = max(abs(x).bit_length() for x in snf.U.entries + snf.V.entries)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import localize_homology, tensor_group
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
@@ -29,7 +30,6 @@ from towercalc.exactalg import (
     is_exact_pair,
     pullback_group,
     subgroup_presentation,
-    tensor_group,
 )
 from towercalc.fracture import (
     LocalizedGroup,
@@ -39,7 +39,6 @@ from towercalc.fracture import (
     cospan_model_check,
     fracture_cospan,
     localize_group,
-    localize_homology,
 )
 from towercalc.sections import CospanSection
 
