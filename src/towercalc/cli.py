@@ -25,7 +25,6 @@ import time
 import traceback
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from . import serialize
 from .certificates import Certificate, bundle, failed, passed
@@ -107,17 +106,15 @@ def _render(cert: Certificate, lines: list, depth: int) -> None:
         _render(child, lines, depth + 1)
 
 
-def _inputs(*paths: str) -> dict:
-    """Each input file's base name with the sha256 of its bytes."""
-    return {os.path.basename(p): "sha256:" + hashlib.sha256(Path(p).read_bytes()).hexdigest()
-            for p in paths}
-
-
 def _load(path: str, kind: str):
-    obj = serialize.load(path)
+    """The `kind` document at `path`, with the report's inputs: its base
+    name and the sha256 of the bytes that were parsed.  The file is read
+    once."""
+    raw = serialize.read(path)
+    obj = serialize.loads(raw, path)
     if not isinstance(obj, serialize.KINDS[kind]):
         raise ValidationError(path, f"expected a {kind} document")
-    return obj
+    return obj, {os.path.basename(path): "sha256:" + hashlib.sha256(raw).hexdigest()}
 
 
 def _homology_listing(x: ChainComplex, name: str) -> Certificate:
@@ -131,22 +128,22 @@ def _homology_listing(x: ChainComplex, name: str) -> Certificate:
 
 
 def _cmd_homology(args):
-    x = _load(args.file, "complex")
-    return _inputs(args.file), [_homology_listing(x, "homology")]
+    x, inputs = _load(args.file, "complex")
+    return inputs, [_homology_listing(x, "homology")]
 
 
 def _cmd_truncate(args):
-    x = _load(args.file, "complex")
+    x, inputs = _load(args.file, "complex")
     p, q = postnikov_section(x, args.n)
     checks = [bundle("truncation",
                      [is_n_type(p, args.n), is_Pn_weq(q, args.n),
                       _homology_listing(p, "truncated_homology")],
                      cut=args.n)]
-    return _inputs(args.file), checks
+    return inputs, checks
 
 
 def _cmd_cover(args):
-    x = _load(args.file, "complex")
+    x, inputs = _load(args.file, "complex")
     c, _ = connective_cover(x, args.k)
     low = [passed("cover_vanishes", degree=i) if homology_group(c, i).is_zero
            else failed("cover_vanishes", degree=i, value=str(homology_group(c, i)))
@@ -156,40 +153,40 @@ def _cmd_cover(args):
             else failed("cover_matches", degree=i, cover=str(homology_group(c, i)),
                         total=str(homology_group(x, i)))
             for i in sorted(set(c.span()) | set(x.span())) if i > args.k]
-    return _inputs(args.file), [bundle("connective_cover", low + high, cut=args.k)]
+    return inputs, [bundle("connective_cover", low + high, cut=args.k)]
 
 
 def _cmd_layer(args):
-    x = _load(args.file, "complex")
+    x, inputs = _load(args.file, "complex")
     lay = layer(x, args.k)
     off = [i for i in lay.span() if i != args.k + 1 and not homology_group(lay, i).is_zero]
     conc = (passed("concentrated", degree=args.k + 1) if not off
             else failed("concentrated", degrees=off))
     value = passed("layer_value", value=str(homology_group(lay, args.k + 1)))
-    return _inputs(args.file), [bundle("layer", [conc, value], cut=args.k)]
+    return inputs, [bundle("layer", [conc, value], cut=args.k)]
 
 
 def _cmd_homcx(args):
-    m = _load(args.source, "complex")
-    n = _load(args.target, "complex")
+    m, inputs = _load(args.source, "complex")
+    n, target_inputs = _load(args.target, "complex")
     h = hom_complex(m, n)
-    return _inputs(args.source, args.target), [_homology_listing(h, "hom_complex_homology")]
+    return {**inputs, **target_inputs}, [_homology_listing(h, "hom_complex_homology")]
 
 
 def _cmd_uct(args):
-    m = _load(args.source, "complex")
-    n = _load(args.target, "complex")
+    m, inputs = _load(args.source, "complex")
+    n, target_inputs = _load(args.target, "complex")
     report = uct_ladder(m, n, args.n)
     disc = passed("discrepancy", value=str(report.discrepancy))
-    return _inputs(args.source, args.target), [report.certificate, disc]
+    return {**inputs, **target_inputs}, [report.certificate, disc]
 
 
 def _cmd_tower(args):
-    t = _load(args.file, "tower")
+    t, inputs = _load(args.file, "tower")
     limit, projections = tower_limit(t)
     checks = [_homology_listing(limit, "limit_homology"),
               passed("projections", count=len(projections))]
-    return _inputs(args.file), checks
+    return inputs, checks
 
 
 def _instances(args):
@@ -202,8 +199,8 @@ def _instances(args):
 
 def _cmd_hypercomplete(args):
     if args.file:
-        x = _load(args.file, "complex")
-        return _inputs(args.file), [hypercomplete_check(x)]
+        x, inputs = _load(args.file, "complex")
+        return inputs, [hypercomplete_check(x)]
     checks = [bundle("instance", [hypercomplete_check(x)], index=i)
               for i, x in enumerate(_instances(args))]
     suite = bundle("hypercompleteness_suite", checks,
@@ -221,8 +218,8 @@ def _cmd_milnor(args):
         return bundle("milnor", [milnor_check(t, i) for i in degrees])
 
     if args.file:
-        t = _load(args.file, "tower")
-        return _inputs(args.file), [all_degrees(t)]
+        t, inputs = _load(args.file, "tower")
+        return inputs, [all_degrees(t)]
     checks = [bundle("instance", [all_degrees(tower_of(x))], index=i)
               for i, x in enumerate(_instances(args))]
     suite = bundle("milnor_suite", checks, seed=args.seed, count=args.count)
@@ -230,23 +227,23 @@ def _cmd_milnor(args):
 
 
 def _cmd_fracture(args):
-    x = _load(args.file, "complex")
+    x, inputs = _load(args.file, "complex")
     partition = PrimePartition(parse_primes(args.primes_j, "--primes-j"),
                                parse_primes(args.primes_k, "--primes-k"))
-    return _inputs(args.file), [arithmetic_square_check(x, partition)]
+    return inputs, [arithmetic_square_check(x, partition)]
 
 
 def _cmd_hofib(args):
-    x = _load(args.file, "complex")
+    x, inputs = _load(args.file, "complex")
     checks = [derived_counit_check(x, args.k), layer_equivalence_check(x, args.k)]
-    return _inputs(args.file), checks
+    return inputs, checks
 
 
 def _cmd_section(args):
     if args.mode == "check-tower":
-        t = _load(args.file, "tower")
-        return _inputs(args.file), [is_post_fibrant(t), is_homotopy_cartesian(t)]
-    s = _load(args.file, "cospan")
+        t, inputs = _load(args.file, "tower")
+        return inputs, [is_post_fibrant(t), is_homotopy_cartesian(t)]
+    s, inputs = _load(args.file, "cospan")
     checks = [bundle("leg_fibrations",
                      [surjective_in_positive_degrees(s.left, "left leg"),
                       surjective_in_positive_degrees(s.right, "right leg")])]
@@ -254,7 +251,7 @@ def _cmd_section(args):
         checks.append(cospan_model_check(s))
     elif s.tags[1].kind == "ptype":
         checks.append(is_homotopy_cartesian(s))
-    return _inputs(args.file), checks
+    return inputs, checks
 
 
 def _cmd_generate(args):
@@ -397,17 +394,18 @@ def _run(args) -> int:
     elapsed = int((time.monotonic() - started) * 1000)
     report = RunReport(args.command, inputs, tuple(checks), elapsed)
 
+    machine = (report.machine_text()  # rendered once for stdout and --report
+               if args.report or (document is None and args.format == "machine") else None)
     if document is not None:
         out = (serialize.document_text(document) if args.format == "text"
                else json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
         sys.stdout.write(out)
     else:
-        sys.stdout.write(report.text() if args.format == "text"
-                         else report.machine_text())
+        sys.stdout.write(report.text() if args.format == "text" else machine)
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report.machine_text())
+                fh.write(machine)
         except OSError as err:
             raise InputError(f"--report {args.report}: cannot write the report "
                              f"({err.strerror or err})") from err

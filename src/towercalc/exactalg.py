@@ -39,6 +39,22 @@ dimension or with the shared identity, a stack onto an empty side, a Smith
 transform that no step touched.  Records are immutable, so sharing is safe,
 and a memo hit on a shared key compares by identity, not by structure.
 
+Deciding by invariants
+----------------------
+A finitely generated abelian group is Hopfian: every surjective
+endomorphism is injective, so a surjection between isomorphic groups is an
+isomorphism (Vasconcelos 1969).  For lattices inner ⊆ outer in Z^n the
+quotient map Z^n/inner -> Z^n/outer is such a surjection, so the lattices
+are equal exactly when the quotients have the same invariant factors:
+`nested_lattices_equal` reads them from two cached `group_from_presentation`
+calls and solves nothing.  `GroupMap.is_iso`, `GroupMap.is_injective`,
+`is_exact_pair` and the image chains of `mittag_leffler_diagnostic` decide
+through it.  The containment is the caller's precondition, and for the
+maps it comes from well-definedness: a well-defined map's kernel lattice
+holds the source relations, and a well-defined g with g∘f = 0 has f's image
+lattice inside its kernel lattice.  A map built unchecked from invalid data
+can get a wrong verdict; every public constructor runs the lattice check.
+
 Conventions
 -----------
 Group elements are integer column vectors on a presentation's generators; a
@@ -509,10 +525,6 @@ def lattice_contains(gens: IntegerMatrix, vectors: IntegerMatrix) -> bool:
     return solve_matrix(gens, vectors) is not None
 
 
-def lattice_eq(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    return lattice_contains(a, b) and lattice_contains(b, a)
-
-
 # ---------------------------------------------------------------------------
 # abelian groups in invariant-factor normal form
 
@@ -733,6 +745,19 @@ def group_from_presentation(relations: IntegerMatrix) -> FpAbelianGroup:
     return FpAbelianGroup(free, invariants[:len(invariants) - free])
 
 
+def nested_lattices_equal(outer: IntegerMatrix, inner: IntegerMatrix) -> bool:
+    """Do the column lattices of `outer` and `inner` coincide, given that the
+    lattice of `inner` lies inside that of `outer`?
+
+    Precondition: inner ⊆ outer.  Then Z^n/inner maps onto Z^n/outer, and a
+    finitely generated abelian group is Hopfian, so the two quotients are
+    isomorphic exactly when that surjection is injective, that is, when the
+    lattices are equal.  Two cached Hermite passes without transforms decide
+    it (see "Deciding by invariants"); without the precondition the answer
+    means nothing."""
+    return group_from_presentation(outer) == group_from_presentation(inner)
+
+
 def hom_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:
     """Hom(Z,Z)=Z, Hom(Z/t,Z)=0, Hom(Z,Z/s)=Z/s, Hom(Z/t,Z/s)=Z/gcd(t,s)."""
     orders = [s for s in b.torsion for _ in range(a.rank)]
@@ -890,14 +915,19 @@ class GroupMap(Trusted, namedtuple("GroupMap", "source target matrix")):
         return self.target.quotient(self.matrix)
 
     def is_injective(self) -> bool:
-        pres, _ = self.kernel_data()
-        return pres.group().is_zero
+        """The kernel lattice {v : matrix @ v in target relations} contains
+        the source relations because the map is well defined; f is injective
+        exactly when the two lattices are equal."""
+        return nested_lattices_equal(self.kernel_lattice(), self.source.relations)
 
     def is_surjective(self) -> bool:
         return self.cokernel_presentation().group().is_zero
 
     def is_iso(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        """A surjection between isomorphic finitely generated abelian groups
+        is an isomorphism (they are Hopfian), so no kernel is computed.  The
+        map must be well defined."""
+        return self.source.group() == self.target.group() and self.is_surjective()
 
 
 def kernel_image_cokernel(f: GroupMap):
@@ -908,9 +938,12 @@ def kernel_image_cokernel(f: GroupMap):
 
 
 def is_exact_pair(f: GroupMap, g: GroupMap):
-    """For composable f, g: does im(f) = ker(g) (and g∘f = 0)?
+    """For composable, well-defined f, g: does im(f) = ker(g) (and g∘f = 0)?
 
-    Returns (ok, reason) with a witness string on failure.
+    Returns (ok, reason) with a witness string on failure.  Once g∘f = 0,
+    the image lattice (f's columns and f.target's relations) lies in g's
+    kernel lattice, because g is well defined; so the pair is exact exactly
+    when the two lattices are equal.
     """
     if f.target != g.source:
         raise IllFormedMap("maps are not composable")
@@ -918,10 +951,7 @@ def is_exact_pair(f: GroupMap, g: GroupMap):
     if not g.target.contains_in_relations(composite):
         return False, "composite is nonzero"
     im = f.matrix.hstack(f.target.relations)
-    ker = g.kernel_lattice()
-    if not lattice_contains(ker, im):
-        return False, "image not contained in kernel"
-    if not lattice_contains(im, ker):
+    if not nested_lattices_equal(g.kernel_lattice(), im):
         return False, "kernel not contained in image"
     return True, ""
 
@@ -950,7 +980,10 @@ def mittag_leffler_diagnostic(maps, horizon: int) -> int | None:
 
     Returns the least k by which every image chain has become constant, or
     None when some chain is still strictly dropping at the horizon.  The
-    prefix must be long enough to see `horizon` steps.
+    prefix must be long enough to see `horizon` steps.  Each chain
+    decreases by construction (a longer composite's columns are integer
+    combinations of a shorter one's), so its links are compared as nested
+    lattices.
     """
     maps = tuple(maps)
     if horizon < 1:
@@ -968,7 +1001,7 @@ def mittag_leffler_diagnostic(maps, horizon: int) -> int | None:
             chains.append(composite.hstack(target.relations))
         # find least r with chain constant from r through horizon
         r = horizon
-        while r > 0 and lattice_eq(chains[r - 1], chains[horizon]):
+        while r > 0 and nested_lattices_equal(chains[r - 1], chains[horizon]):
             r -= 1
         if r == horizon:  # still dropping at the last step
             return None

@@ -10,6 +10,7 @@ location naming the offending spot.
 from __future__ import annotations
 
 import json
+import re
 
 from .complexes import ChainComplex, ChainMap
 from .errors import IllFormedMap, InputError, ParseError, ValidationError
@@ -31,6 +32,11 @@ def _count(value, where: str) -> int:
     return value
 
 
+# A row of `-?[0-9]+` entries joined by single spaces.  An entry with a
+# space inside still matches, but then `int` rejects it.
+_DECIMAL_ROW = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
+
 def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
     if not isinstance(doc, list):
         raise ParseError(where, "expected an array of rows")
@@ -40,12 +46,27 @@ def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]", f"expected a row of {cols} entries")
-        for j, e in enumerate(row):
-            try:
-                flat.append(parse_decimal(e, "matrix entry"))
-            except InputError as err:
-                raise ParseError(f"{where}[{i}][{j}]", str(err)) from None
+        flat.extend(_row_entries(row, f"{where}[{i}]"))
     return IntegerMatrix(rows, cols, tuple(flat))
+
+
+def _row_entries(row: list, where: str) -> list[int]:
+    """The entries of one matrix row, each a decimal string.  One match
+    checks the whole row; a row it rejects, or with an entry `int` refuses
+    (a space inside, past the digit limit), is read entry by entry with
+    `parse_decimal`, so the error names the entry."""
+    try:
+        if _DECIMAL_ROW.fullmatch(" ".join(row)):
+            return list(map(int, row))
+    except (TypeError, ValueError):  # an entry that is not a string, or not an int
+        pass
+    out = []
+    for j, e in enumerate(row):
+        try:
+            out.append(parse_decimal(e, "matrix entry"))
+        except InputError as err:
+            raise ParseError(f"{where}[{j}]", str(err)) from None
+    return out
 
 
 def matrix_to_doc(m: IntegerMatrix) -> list:
@@ -212,18 +233,33 @@ def document_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load(path: str):
-    where = str(path)
+def read(path: str) -> bytes:
+    """The bytes of the document at `path`; an unreadable file raises
+    ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as err:
-        raise ParseError(where, str(err)) from err
+        raise ParseError(str(path), str(err)) from err
+
+
+def loads(raw: bytes, where: str):
+    """The object a document's bytes describe.  Bytes that are not UTF-8,
+    are not JSON, or nest too deeply for the JSON reader raise ParseError
+    located at `where`."""
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError(where, f"not valid UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(where, f"not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ParseError(where, "not valid JSON: arrays or objects nest too deeply") from err
     return object_from_doc(doc, where)
+
+
+def load(path: str):
+    return loads(read(path), str(path))
 
 
 def save(obj, path: str, name: str | None = None) -> None:

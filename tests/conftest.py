@@ -11,14 +11,25 @@ The library builds the complexes and maps it derives from valid ones through
 that path goes through the full public constructor instead, so the whole
 suite re-validates every such build.  A test marked `trusted_builds` runs
 the trusted path as the library does.
+
+The library decides isomorphism, injectivity, exactness and the equality of
+nested lattices from invariant factors (see "Deciding by invariants" in
+`exactalg`).  Here each such decision is also made by the reference route of
+`helpers`, kernel presentations and lattice solves, and any disagreement
+raises CharacterizationMismatch.  A test marked `single_route` decides by
+the library's route alone, as tests that count lattice work must.
 """
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
 import towercalc
-from towercalc.exactalg import Trusted
+from helpers import exact_pair_by_containment, injective_by_kernel, iso_by_kernel, lattice_eq
+from towercalc import exactalg
+from towercalc.errors import CharacterizationMismatch
+from towercalc.exactalg import GroupMap, Trusted
 
 
 def all_caches():
@@ -50,9 +61,39 @@ def check_trusted_builds(monkeypatch):
     monkeypatch.setattr(Trusted, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
 
 
+def _both_routes(name, route, reference):
+    """`route`, checked against `reference` on every call."""
+    def decide(*args):
+        got, want = route(*args), reference(*args)
+        if got != want:
+            raise CharacterizationMismatch(
+                f"{name}: {got!r} from invariant factors, {want!r} from lattice solves")
+        return got
+    return decide
+
+
+def check_both_routes(monkeypatch):
+    """Decide `is_iso`, `is_injective`, `is_exact_pair` and
+    `nested_lattices_equal` both ways, in every towercalc namespace that
+    holds the library's function."""
+    for attr, reference in (("is_iso", iso_by_kernel), ("is_injective", injective_by_kernel)):
+        monkeypatch.setattr(GroupMap, attr,
+                            _both_routes(attr, getattr(GroupMap, attr), reference))
+    for attr, reference in (("is_exact_pair", exact_pair_by_containment),
+                            ("nested_lattices_equal", lattice_eq)):
+        route = getattr(exactalg, attr)
+        checked = _both_routes(attr, route, reference)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("towercalc.") and getattr(mod, attr, None) is route:
+                monkeypatch.setattr(mod, attr, checked)
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "trusted_builds: run Trusted._trusted unchecked, as the library does")
+    config.addinivalue_line(
+        "markers", "single_route: decide isomorphism, injectivity and exactness by the "
+                   "library's route alone, with no cross-check")
 
 
 @pytest.fixture(autouse=True)
@@ -64,3 +105,9 @@ def empty_caches():
 def checked_trusted_builds(request, monkeypatch):
     if request.node.get_closest_marker("trusted_builds") is None:
         check_trusted_builds(monkeypatch)
+
+
+@pytest.fixture(autouse=True)
+def both_routes(request, monkeypatch):
+    if request.node.get_closest_marker("single_route") is None:
+        check_both_routes(monkeypatch)

@@ -12,7 +12,13 @@ from towercalc.complexes import (
     sphere_complex,
     zero_complex,
 )
-from towercalc.exactalg import FpAbelianGroup, IntegerMatrix, SnfDecomposition
+from towercalc.exactalg import (
+    FpAbelianGroup,
+    GroupMap,
+    IntegerMatrix,
+    SnfDecomposition,
+    lattice_contains,
+)
 from towercalc.fracture import LocalizedGroup, localize_group
 
 
@@ -47,3 +53,37 @@ def complex_from_homology(profile: HomologyProfile) -> ChainComplex:
         for t in g.torsion:
             out = direct_sum(out, moore_complex(t, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference routes: isomorphism, injectivity and exactness decided by kernel
+# presentations and lattice solves, with no appeal to the Hopfian property
+
+
+def lattice_eq(a: IntegerMatrix, b: IntegerMatrix) -> bool:
+    """Equal column lattices, by membership both ways."""
+    return lattice_contains(a, b) and lattice_contains(b, a)
+
+
+def injective_by_kernel(f: GroupMap) -> bool:
+    """The kernel's presentation presents the zero group."""
+    pres, _ = f.kernel_data()
+    return pres.group().is_zero
+
+
+def iso_by_kernel(f: GroupMap) -> bool:
+    return injective_by_kernel(f) and f.is_surjective()
+
+
+def exact_pair_by_containment(f: GroupMap, g: GroupMap):
+    """`is_exact_pair` by solving for each inclusion of im f and ker g."""
+    composite = g.matrix @ f.matrix
+    if not g.target.contains_in_relations(composite):
+        return False, "composite is nonzero"
+    im = f.matrix.hstack(f.target.relations)
+    ker = g.kernel_lattice()
+    if not lattice_contains(ker, im):
+        return False, "image not contained in kernel"
+    if not lattice_contains(im, ker):
+        return False, "kernel not contained in image"
+    return True, ""

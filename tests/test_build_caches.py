@@ -7,6 +7,7 @@ computation, and a second check at the same cut rebuilds none of them.
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,7 @@ def test_a_second_check_at_a_cut_rebuilds_no_section_or_cover(monkeypatch):
     assert built == []
 
 
+@pytest.mark.single_route
 def test_a_second_fiber_check_at_a_cut_solves_no_lattice_again():
     x = direct_sum(moore_complex(6, 0), sphere_complex(1))
     assert fiber_sequence_check(x, 0).passed

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -113,6 +114,35 @@ def test_unusable_inputs_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_undecodable_and_too_deeply_nested_documents_exit_two(capsys, tmp_path):
+    for name, raw in (("latin1.json", b'{"name": "caf\xe9"}'),
+                      ("deep.json", b"[" * 200000 + b"]" * 200000)):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert main(["homology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid ")
+        assert "internal error" not in err
+
+
+def test_each_input_is_read_once_and_digested_as_parsed(capsys, monkeypatch):
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", counting_open)
+        code, out = run(capsys, "homcx", SPHERE, MOORE, "--format", "machine")
+    assert code == 0
+    assert sorted(p for p in opened if p in (SPHERE, MOORE)) == sorted([SPHERE, MOORE])
+    assert json.loads(out)["inputs"] == {
+        Path(p).name: "sha256:" + hashlib.sha256(Path(p).read_bytes()).hexdigest()
+        for p in (SPHERE, MOORE)}
+
+
 def write_moore(tmp_path, entry: str) -> str:
     path = tmp_path / "moore.json"
     path.write_text(json.dumps({
@@ -202,11 +232,17 @@ def test_machine_reports_are_canonical_json_without_timing(capsys):
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
-def test_report_flag_writes_the_machine_document(capsys, tmp_path):
+def test_report_flag_writes_the_machine_document(capsys, tmp_path, monkeypatch):
     path = tmp_path / "report.json"
-    _, out = run(capsys, "homology", MOORE, "--format", "machine",
-                 "--report", str(path))
+    rendered = []
+    machine_text = cli.RunReport.machine_text
+    with monkeypatch.context() as m:
+        m.setattr(cli.RunReport, "machine_text",
+                  lambda self: rendered.append(self) or machine_text(self))
+        _, out = run(capsys, "homology", MOORE, "--format", "machine",
+                     "--report", str(path))
     assert path.read_text() == out
+    assert len(rendered) == 1  # one rendering serves stdout and the file
     written = path.read_bytes()
     # the parser is shared across calls: a failed parse and a later call
     # without flags must not see this call's --format or --report

@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import diagonal_matrix, tensor_group
+from helpers import (
+    diagonal_matrix,
+    exact_pair_by_containment,
+    injective_by_kernel,
+    iso_by_kernel,
+    lattice_eq,
+    tensor_group,
+)
 from towercalc.errors import IllFormedMap
 from towercalc.exactalg import (
     FpAbelianGroup,
@@ -31,8 +38,8 @@ from towercalc.exactalg import (
     is_exact_pair,
     kernel_image_cokernel,
     lattice_contains,
-    lattice_eq,
     mittag_leffler_diagnostic,
+    nested_lattices_equal,
     preimage_lattice,
     prime_part,
     pullback_group,
@@ -636,6 +643,61 @@ def test_split_sequence_is_exact(a, b):
     ok, reason = is_exact_pair(inc, proj)
     assert ok, reason
     assert inc.is_injective() and proj.is_surjective()
+
+
+def _draw_matrix(draw, rows, cols):
+    entries = draw(st.lists(st.integers(-4, 4), min_size=rows * cols, max_size=rows * cols))
+    return IntegerMatrix(rows, cols, tuple(entries))
+
+
+def _draw_inside(draw, lattice):
+    """Up to two columns of the column lattice of `lattice`, or every
+    generator of it."""
+    if draw(st.booleans()):
+        return lattice
+    return lattice @ _draw_matrix(draw, lattice.cols, draw(st.integers(0, 2)))
+
+
+def _draw_map(draw, source_generators, target, columns=None):
+    """A well-defined map from a group on `source_generators` generators
+    into `target`: its matrix, or one with columns in `columns`, and source
+    relations drawn from the preimage of the target relations."""
+    if columns is None:
+        matrix = _draw_matrix(draw, target.generators, source_generators)
+    else:
+        matrix = columns @ _draw_matrix(draw, columns.cols, source_generators)
+    relations = _draw_inside(draw, preimage_lattice(matrix, target.relations))
+    return GroupMap(Presentation(source_generators, relations), target, matrix)
+
+
+@st.composite
+def composable_maps(draw):
+    """Well-defined f: A -> B and g: B -> C, on at most three generators
+    each; f lands in ker g about half the time."""
+    sizes = st.integers(0, 3)
+    c = draw(sizes)
+    target = Presentation(c, _draw_matrix(draw, c, draw(st.integers(0, 2))))
+    g = _draw_map(draw, draw(sizes), target)
+    into_kernel = g.kernel_lattice() if draw(st.booleans()) else None
+    f = _draw_map(draw, draw(sizes), g.source, into_kernel)
+    return f, g
+
+
+@pytest.mark.single_route
+@given(composable_maps(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_invariant_routes_agree_with_lattice_solves(maps, data):
+    f, g = maps
+    for h in maps:
+        assert h.is_injective() == injective_by_kernel(h)
+        assert h.is_iso() == iso_by_kernel(h)
+    assert is_exact_pair(f, g) == exact_pair_by_containment(f, g)
+    # a link of an image chain: im(f∘e) inside im(f) modulo B's relations
+    n = f.source.generators
+    e = _draw_matrix(data.draw, n, n)
+    outer = f.matrix.hstack(f.target.relations)
+    inner = (f.matrix @ e).hstack(f.target.relations)
+    assert nested_lattices_equal(outer, inner) == lattice_eq(outer, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_milnor_on_a_late_stabilizing_tower():
 def test_lim1_fails_when_image_chains_never_settle(monkeypatch):
     """The lim^1 verdict is computed: if no two image lattices compared
     equal, the chains would never settle and the check must fail."""
-    monkeypatch.setattr(exactalg, "lattice_eq", lambda a, b: False)
+    monkeypatch.setattr(exactalg, "nested_lattices_equal", lambda outer, inner: False)
     tower = postnikov_tower(direct_sum(moore_complex(4, 0), sphere_complex(2)), 3)
     cert = milnor_check(tower, 1)
     lim1 = next(c for c in cert.children if c.check == "lim1_vanishes")

@@ -299,6 +299,7 @@ def _certify(x):
 
 
 @pytest.mark.trusted_builds
+@pytest.mark.single_route
 def test_certifying_one_complex_builds_few_matrices():
     x = random_complex(random.Random(5))
     built = 0
@@ -312,5 +313,7 @@ def test_certifying_one_complex_builds_few_matrices():
         _certify(x)
     finally:
         sys.setprofile(None)
-    # measured: 1,956 when every builder made a fresh copy, 923 since
-    assert built <= 923
+    # measured: 1,956 when every builder made a fresh copy, 923 once they
+    # shared existing records, 762 since isomorphism, injectivity and
+    # exactness are decided from invariant factors
+    assert built <= 762

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from towercalc.complexes import direct_sum, homology_group, moore_complex, sphere_complex
-from towercalc.errors import ParseError, ValidationError
+from towercalc.errors import InputError, ParseError, ValidationError
 from towercalc.exactalg import FpAbelianGroup
 from towercalc.fracture import PrimePartition, fracture_cospan
 from towercalc.gen import generate
-from towercalc.sections import postnikov_tower
+from towercalc.sections import parse_decimal, postnikov_tower
 from towercalc.serialize import (
     complex_from_doc,
     complex_to_doc,
@@ -98,6 +98,18 @@ def test_not_json_is_a_parse_error(tmp_path):
         load(path)
 
 
+def test_undecodable_and_too_deeply_nested_documents_are_parse_errors(tmp_path):
+    cases = {"latin1.json": (b'{"name": "caf\xe9"}', "not valid UTF-8"),
+             "deep.json": (b"[" * 200000 + b"]" * 200000, "nest too deeply")}
+    for name, (raw, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert exc.value.location == str(path)
+        assert message in str(exc.value)
+
+
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load(tmp_path / "nope.json")
@@ -126,6 +138,18 @@ def test_matrix_locations_name_the_entry():
     with pytest.raises(ParseError) as exc:
         matrix_from_doc([["1", "x"]], 1, 2, "differentials[0]")
     assert exc.value.location == "differentials[0][0][1]"
+
+
+def test_a_bad_entry_mid_row_is_named_as_parse_decimal_names_it():
+    for bad in (" 3", "3 ", "1 2", "+3", "1_3", "\u0663", "", 5, "7" * 5000):
+        with pytest.raises(InputError) as want:
+            parse_decimal(bad, "matrix entry")
+        with pytest.raises(ParseError) as exc:
+            matrix_from_doc([["1", "-2", "3"], ["4", bad, "6"]], 2, 3, "m")
+        assert exc.value.location == "m[1][1]"
+        assert str(exc.value) == f"m[1][1]: {want.value}"
+    assert matrix_from_doc([["1", "-2", "3"], ["0", "-0", "60"]], 2, 3, "m").entries == (
+        1, -2, 3, 0, 0, 60)
 
 
 def moore_doc(entry: str) -> dict:
