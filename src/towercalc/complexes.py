@@ -20,10 +20,12 @@ and user code are checked in full.  Builders here and in `trunc`, `hofib`,
 cones and the like are valid because their inputs are; kernels, pullbacks
 (the kernel of the difference map (f, -g)) and covers are all carved out by
 `subcomplex`, which solves every differential exactly against the subgroup
-bases; sections and free replacements solve their maps exactly too; and an
-induced map reads exact homology coordinates of a chain map.  Maps whose
-validity is being claimed, or rests on a condition nobody checked, stay
-checked: `pullback_induced_map`,
+bases; sections solve their maps exactly too; a free replacement solves
+its twisting blocks exactly against relation bases, so D^2 = 0 on the nose
+and its map commutes up to relations of X (see `cofibrant_replacement`);
+and an induced map reads exact homology coordinates of a chain map.  Maps
+whose validity is being claimed, or rests on a condition nobody checked,
+stay checked: `pullback_induced_map`,
 `fiber_sequence_check`'s comparison, the maps of `sections` and `fracture`,
 and `connecting_map`, which is well defined only on a degreewise short
 exact pair that `les_certificate` does not verify.  The test suite routes
@@ -624,11 +626,22 @@ def cofibrant_replacement(x: ChainComplex):
     """(F, q) with F degreewise free and q: F -> X a quasi-isomorphism.
 
     Already-free complexes are returned untouched with the identity.  The
-    general case is the bounded-below stepwise free approximation: start from
-    the free group on the bottom generators, then in each next degree adjoin
-    one generator per cycle of X (to keep homology surjective) and one per
-    kernel class downstairs (to make it injective).  Only the general case
-    is cached, so a free complex comes back as the caller's own object."""
+    general case is the twisted total complex of generators over relation
+    bases.  With g_i generators and rho_i = `column_basis` of the relations
+    of X_i (r_i columns), solve d_i rho_i = rho_{i-1} s_i and
+    d_{i-1} d_i = rho_{i-2} h_i exactly (X is valid, so both exist); then
+    F_i = Z^{g_i} + Z^{r_{i-1}} for min_deg <= i <= top_deg + 1, with
+
+        D_i = [[d_i, rho_{i-1}], [-h_i, -s_{i-1}]]    and    q_i = [I | 0].
+
+    D^2 = 0 holds after multiplying each block by rho on the left, so it
+    holds because rho is injective: a generating set with dependent columns
+    would not do, which is why rho is a basis.  q is a chain map (its square
+    commutes up to rho_{i-1}, a relation of X) and onto in every degree.
+    Its kernel is {(rho_i a, y)}, and in the coordinates (a, y + s_i a) the
+    differential sends (a, b) to (b, 0): the cone of an identity, which is
+    acyclic.  So q is a quasi-isomorphism.  Only the general case is cached,
+    so a free complex comes back as the caller's own object."""
     if x.is_degreewise_free:
         return x, ChainMap.identity(x)
     return _free_approximation(x)
@@ -636,37 +649,16 @@ def cofibrant_replacement(x: ChainComplex):
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def _free_approximation(x: ChainComplex):
-    f_gens = [x.degrees[0].generators]
-    f_diffs: list[IntegerMatrix] = []
-    q_comps = [IntegerMatrix.identity(f_gens[0])]
-
-    for step in range(1, len(x.degrees) + 1):
-        n = x.min_deg + step
-        prev_gens = f_gens[-1]
-        dn = x.diff_at(n)
-        rel_below = x.pres_at(n - 1).relations
-        # kernel classes downstairs: dF z = 0 and q z dies in H_{n-1}(X)
-        df_prev = f_diffs[-1] if f_diffs else IntegerMatrix.zero(0, prev_gens)
-        boundaries = dn.hstack(rel_below)
-        zero_over_boundaries = IntegerMatrix.zero(df_prev.rows, boundaries.cols).vstack(boundaries)
-        killers = column_basis(preimage_lattice(df_prev.vstack(q_comps[-1]),
-                                                zero_over_boundaries))
-        witnesses = solve_matrix(boundaries, q_comps[-1] @ killers)
-        assert witnesses is not None
-        witness_cols = witnesses.take_rows(0, dn.cols).columns()
-        # cycles of X at degree n, one new free generator each
-        zn = column_basis(preimage_lattice(dn, rel_below))
-        count = killers.cols + zn.cols
-        f_gens.append(count)
-        d_cols = list(killers.columns()) + [(0,) * prev_gens] * zn.cols
-        f_diffs.append(IntegerMatrix.from_cols(d_cols, rows=prev_gens))
-        q_cols = witness_cols + list(zn.columns())
-        q_comps.append(IntegerMatrix.from_cols(q_cols, rows=x.pres_at(n).generators))
-
-    free = ChainComplex._trusted(
-        x.min_deg,
-        tuple(Presentation.free(g) for g in f_gens),
-        tuple(f_diffs),
-    )
-    comps = tuple(q_comps[i - x.min_deg] for i in free.span())
-    return free, ChainMap._trusted(free, x, comps)
+    lo, hi = x.min_deg, x.top_deg + 1
+    rho = {i: column_basis(x.pres_at(i).relations) for i in range(lo - 1, hi)}
+    s = {i: solve_matrix(rho[i - 1], x.diff_at(i) @ rho[i]) for i in range(lo, hi)}
+    degs, diffs, comps = [], [], []
+    for i in range(lo, hi + 1):
+        g, r = x.pres_at(i).generators, rho[i - 1].cols
+        degs.append(Presentation.free(g + r))
+        comps.append(IntegerMatrix.identity(g).hstack(IntegerMatrix.zero(g, r)))
+        if i > lo:
+            h = solve_matrix(rho[i - 2], x.diff_at(i - 1) @ x.diff_at(i))
+            diffs.append(x.diff_at(i).hstack(rho[i - 1]).vstack(-h.hstack(s[i - 1])))
+    free = ChainComplex._trusted(lo, tuple(degs), tuple(diffs))
+    return free, ChainMap._trusted(free, x, tuple(comps[i - lo] for i in free.span()))

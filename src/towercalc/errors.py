@@ -12,9 +12,9 @@ from .certificates import int_text
 class InputError(ValueError):
     """An argument outside its documented range: a malformed tag or prime
     list, a prime past the certified bound, an overlapping or non-prime
-    partition, a tower length short of the top degree, a generator profile
-    past its caps, a negative batch count.  It is a ValueError, so callers
-    that catch ValueError keep working."""
+    partition, a tower length short of the top degree or past its bound, a
+    generator profile past its caps, a negative batch count.  It is a
+    ValueError, so callers that catch ValueError keep working."""
 
 
 class IllFormedMap(Exception):

@@ -826,7 +826,10 @@ def preimage_lattice(matrix: IntegerMatrix, target_rel_cols: IntegerMatrix) -> I
 
     The columns span the lattice but need not be independent; callers that
     count them as a basis take `column_basis` first.  `subquotient` already
-    does, so passing the result there costs one Hermite form, not two."""
+    does, so passing the result there costs one Hermite form, not two.  The
+    preimage under the shared identity is the relation lattice itself."""
+    if matrix.rows == matrix.cols and matrix is IntegerMatrix.identity(matrix.rows):
+        return target_rel_cols
     stacked = matrix.hstack(target_rel_cols)
     return integer_kernel(stacked).take_rows(0, matrix.cols)
 

@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .certificates import Certificate, bundle, failed, passed
+from .certificates import Certificate, bundle, failed, int_text, passed
 from .complexes import (
     ChainComplex,
     ChainMap,
@@ -363,13 +363,21 @@ def is_tow_cofibrant(t: TowerSection) -> Certificate:
 # tower constructions
 
 
+# every level from 0 up is built, so a complex shifted far up would make a
+# tower too long to build; README states this bound
+MAX_TOWER_LENGTH = 10_000
+
+
 def postnikov_tower(x: ChainComplex, m: int) -> TowerSection:
     """The section (P_n x)_{n <= m} with its quotient structure maps; m must
-    clear the top degree so the prefix reaches the stable range, and be at
-    least 0 so the tower has a level."""
+    clear the top degree so the prefix reaches the stable range, be at
+    least 0 so the tower has a level, and be at most MAX_TOWER_LENGTH."""
     if m < max(x.top_deg, 0):
         raise InputError(f"length {m} does not reach the top degree {x.top_deg} "
                          "or level 0")
+    if m > MAX_TOWER_LENGTH:
+        raise InputError(f"length {int_text(m)} (top degree {int_text(x.top_deg)}) is over "
+                         f"the bound of {MAX_TOWER_LENGTH} structure maps")
     levels = [postnikov_section(x, n)[0] for n in range(m + 1)]
     maps = [postnikov_section(levels[n + 1], n)[1] for n in range(m)]
     return TowerSection(tuple(levels), tuple(maps))
@@ -382,11 +390,9 @@ def free_postnikov_tower(x: ChainComplex, m: int):
 
     Level n keeps the free replacement of x through degree n and caps it at
     degree n+1 with a basis of the image of the differential, which is again
-    free and kills all homology above n.
+    free and kills all homology above n.  m is checked as for
+    `postnikov_tower`.
     """
-    if m < max(x.top_deg, 0):
-        raise InputError(f"length {m} does not reach the top degree {x.top_deg} "
-                         "or level 0")
     base = postnikov_tower(x, m)
     free, q = cofibrant_replacement(x)
 

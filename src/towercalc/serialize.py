@@ -47,7 +47,10 @@ def matrix_from_doc(doc, rows: int, cols: int, where: str) -> IntegerMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]", f"expected a row of {cols} entries")
         flat.extend(_row_entries(row, f"{where}[{i}]"))
-    return IntegerMatrix(rows, cols, tuple(flat))
+    flat = tuple(flat)
+    if rows == cols and flat == (identity := IntegerMatrix.identity(rows)).entries:
+        return identity  # the shared identity, so products with it are skipped
+    return IntegerMatrix(rows, cols, flat)
 
 
 def _row_entries(row: list, where: str) -> list[int]:

@@ -1,10 +1,12 @@
-"""Constructions that only the tests use: closed-form oracles and inverse
-constructions that the library itself never needs."""
+"""Constructions that only the tests use: closed-form oracles, inverse
+constructions that the library itself never needs, and reference routes
+that check the library's faster ones."""
 
 from math import gcd
 
 from towercalc.complexes import (
     ChainComplex,
+    ChainMap,
     HomologyProfile,
     direct_sum,
     homology_group,
@@ -16,8 +18,12 @@ from towercalc.exactalg import (
     FpAbelianGroup,
     GroupMap,
     IntegerMatrix,
+    Presentation,
     SnfDecomposition,
+    column_basis,
     lattice_contains,
+    preimage_lattice,
+    solve_matrix,
 )
 from towercalc.fracture import LocalizedGroup, localize_group
 
@@ -87,3 +93,45 @@ def exact_pair_by_containment(f: GroupMap, g: GroupMap):
     if not lattice_contains(im, ker):
         return False, "kernel not contained in image"
     return True, ""
+
+
+# ---------------------------------------------------------------------------
+# reference route: the stepwise free approximation
+
+
+def stepwise_free_approximation(x: ChainComplex):
+    """(F, q) with F degreewise free and q: F -> X a quasi-isomorphism, built
+    degree by degree: start from the free group on the bottom generators,
+    then in each next degree adjoin one generator per cycle of X (to keep
+    homology surjective) and one per kernel class downstairs (to make it
+    injective).  F and q go through the public constructors."""
+    f_gens = [x.degrees[0].generators]
+    f_diffs: list[IntegerMatrix] = []
+    q_comps = [IntegerMatrix.identity(f_gens[0])]
+
+    for step in range(1, len(x.degrees) + 1):
+        n = x.min_deg + step
+        prev_gens = f_gens[-1]
+        dn = x.diff_at(n)
+        rel_below = x.pres_at(n - 1).relations
+        # kernel classes downstairs: dF z = 0 and q z dies in H_{n-1}(X)
+        df_prev = f_diffs[-1] if f_diffs else IntegerMatrix.zero(0, prev_gens)
+        boundaries = dn.hstack(rel_below)
+        zero_over_boundaries = IntegerMatrix.zero(df_prev.rows, boundaries.cols).vstack(boundaries)
+        killers = column_basis(preimage_lattice(df_prev.vstack(q_comps[-1]),
+                                                zero_over_boundaries))
+        witnesses = solve_matrix(boundaries, q_comps[-1] @ killers)
+        assert witnesses is not None
+        witness_cols = witnesses.take_rows(0, dn.cols).columns()
+        # cycles of X at degree n, one new free generator each
+        zn = column_basis(preimage_lattice(dn, rel_below))
+        count = killers.cols + zn.cols
+        f_gens.append(count)
+        d_cols = list(killers.columns()) + [(0,) * prev_gens] * zn.cols
+        f_diffs.append(IntegerMatrix.from_cols(d_cols, rows=prev_gens))
+        q_cols = witness_cols + list(zn.columns())
+        q_comps.append(IntegerMatrix.from_cols(q_cols, rows=x.pres_at(n).generators))
+
+    free = ChainComplex(x.min_deg, tuple(Presentation.free(g) for g in f_gens), tuple(f_diffs))
+    comps = tuple(q_comps[i - x.min_deg] for i in free.span())
+    return free, ChainMap(free, x, comps)

@@ -15,7 +15,7 @@ from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_comp
 from towercalc.complexes import direct_sum_map
 from towercalc.exactalg import PRIME_CERTIFY_BOUND
 from towercalc.fracture import PrimePartition, fracture_cospan
-from towercalc.sections import CospanSection
+from towercalc.sections import MAX_TOWER_LENGTH, CospanSection
 from towercalc.serialize import load, save
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -203,6 +203,21 @@ def test_primes_past_the_certified_bound_exit_two(capsys, tmp_path):
     cospan.write_text(json.dumps(doc))
     assert main(["section", "check-cospan", str(cospan)]) == 2
     assert str(PRIME_CERTIFY_BOUND) in capsys.readouterr().err
+
+
+def test_tower_past_the_length_bound_exits_two_at_once(capsys, tmp_path):
+    """`hypercomplete` builds its tower from level 0 to one past the top
+    degree, so a complex shifted far up is refused, not built level by level."""
+    path = tmp_path / "shifted.json"
+    save(moore_complex(6, 10**18), path)
+    start = time.perf_counter()
+    assert main(["hypercomplete", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"over the bound of {MAX_TOWER_LENGTH} structure maps" in err
+    assert "internal error" not in err
+    save(moore_complex(6, 40), path)  # in bound: a full report as before
+    assert main(["hypercomplete", str(path)]) == 0
 
 
 def test_verdict_and_exit_code_agree(capsys):

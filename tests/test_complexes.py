@@ -8,11 +8,11 @@ homology engine under test.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_caches
-from helpers import complex_from_homology
+from helpers import complex_from_homology, stepwise_free_approximation
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
@@ -47,6 +47,7 @@ from towercalc.exactalg import (
     Presentation,
     ext_group,
     hom_group,
+    integer_kernel,
     kernel_image_cokernel,
     pullback_group,
 )
@@ -432,6 +433,96 @@ def test_replacement_is_free_and_quasi_iso(pieces):
     assert f.is_degreewise_free
     assert homology(f) == expected
     assert is_quasi_iso(q).passed
+
+
+@st.composite
+def twisted_complexes(draw):
+    """A valid complex with relations in several degrees whose differential
+    squares to zero only modulo relations.  A free complex d (d∘d = 0) is
+    perturbed by t·E into the degrees lo..k that carry t·I among their
+    relations, so d∘d becomes a nonzero multiple of t; each degree also
+    carries boundaries d(B) as relations, and a degree may list t·I twice,
+    so the relation columns need not be independent."""
+    lo = draw(st.integers(-2, 2))
+    gens = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
+    top = lo + len(gens) - 1
+    k = draw(st.integers(lo + 1, top))  # degrees lo..k carry t·I
+    t = draw(st.integers(2, 6))
+
+    def small(rows, cols):
+        return IntegerMatrix(rows, cols, tuple(
+            draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))))
+
+    diffs = [small(gens[0], gens[1])]
+    for j in range(2, len(gens)):
+        cycles = integer_kernel(diffs[-1])
+        diffs.append(cycles @ small(cycles.cols, gens[j]))
+    diffs = [d + small(d.rows, d.cols).scale(t) if lo + j <= k else d
+             for j, d in enumerate(diffs)]
+    degs = []
+    for j, g in enumerate(gens):
+        rel = IntegerMatrix.zero(g, 0)
+        if lo + j <= k:
+            torsion = IntegerMatrix.identity(g).scale(t)
+            rel = torsion.hstack(torsion) if draw(st.booleans()) else torsion
+        if j + 1 < len(gens):
+            rel = rel.hstack(diffs[j] @ small(gens[j + 1], draw(st.integers(0, 2))))
+        degs.append(Presentation(g, rel))
+    return ChainComplex(lo, tuple(degs), tuple(diffs))
+
+
+def _scaled_block(x, f, block, factor):
+    """F's differentials with one block of each D_i times `factor`: "h" is
+    the lower-left block (rows past X's generators in degree i-1, columns up
+    to X's in degree i), "s" the lower-right one."""
+    out = []
+    for i in range(f.min_deg + 1, f.top_deg + 1):
+        rows, below, here = f.diff_at(i).to_rows(), x.pres_at(i - 1).generators, x.pres_at(i).generators
+        for r in range(below, len(rows)):
+            for c in range(len(rows[r])):
+                if (c < here) == (block == "h"):
+                    rows[r][c] *= factor
+        out.append(IntegerMatrix(len(rows), f.diff_at(i).cols, tuple(v for row in rows for v in row)))
+    return tuple(out)
+
+
+@given(twisted_complexes())
+@settings(max_examples=40, deadline=None)
+def test_twisted_replacement_passes_the_public_constructors(x):
+    on_generators = [x.diff_at(i - 1) @ x.diff_at(i) for i in range(x.min_deg + 2, x.top_deg + 1)]
+    assume(any(not m.is_zero for m in on_generators))
+    f, q = cofibrant_replacement(x)
+    assert f.is_degreewise_free
+    assert ChainComplex(f.min_deg, f.degrees, f.differentials) == f
+    assert ChainMap(f, x, q.components) == q
+    assert is_quasi_iso(q).passed
+    assert homology(f) == homology(x)
+    # the stepwise reference route builds another free model of the same homology
+    g, p = stepwise_free_approximation(x)
+    assert g.is_degreewise_free and is_quasi_iso(p).passed
+    assert homology(g) == homology(f)
+    # h carries d∘d, and s the differential on relations: neither may be dropped
+    for block, factor in (("h", 0), ("s", -1)):
+        mutated = _scaled_block(x, f, block, factor)
+        if mutated != f.differentials:
+            with pytest.raises(ValidationError, match="d composed with d is nonzero"):
+                ChainComplex(f.min_deg, f.degrees, mutated)
+
+
+def test_twisted_replacement_needs_h_and_the_sign_of_s():
+    # Z/4 --2--> Z/4 --2--> Z/4: d∘d = 4 vanishes only modulo relations
+    z4 = Presentation(1, IntegerMatrix.from_rows([[4]]))
+    two = IntegerMatrix.from_rows([[2]])
+    x = ChainComplex(0, (z4, z4, z4), (two, two))
+    f, q = cofibrant_replacement(x)
+    assert homology(f) == homology(x) == HomologyProfile.of(
+        [(0, FpAbelianGroup.cyclic(2)), (2, FpAbelianGroup.cyclic(2))])
+    assert is_quasi_iso(ChainMap(f, x, q.components)).passed
+    for block, factor in (("h", 0), ("s", -1)):
+        mutated = _scaled_block(x, f, block, factor)
+        assert mutated != f.differentials
+        with pytest.raises(ValidationError):
+            ChainComplex(f.min_deg, f.degrees, mutated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """README's examples run as written: the complex document loads, and the
-library tour prints what its comments say."""
+library tour prints what its comments say; the bounds it states are the
+library's."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ import re
 from pathlib import Path
 
 from towercalc.complexes import moore_complex
+from towercalc.sections import MAX_TOWER_LENGTH
 from towercalc.serialize import object_from_doc
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -29,3 +31,8 @@ def test_library_tour_prints_what_it_says():
     with contextlib.redirect_stdout(out):
         exec(_block("A taste:", "python"), {})
     assert out.getvalue().splitlines() == ["H_0 = Z/6", "True", "True"]
+
+
+def test_tower_length_bound_is_the_librarys():
+    stated = re.search(r"longer than (\d+)\s+structure maps \(`sections.MAX_TOWER_LENGTH`\)", README)
+    assert stated and int(stated.group(1)) == MAX_TOWER_LENGTH

@@ -25,9 +25,11 @@ from towercalc.exactalg import (
     block_diag,
     column_basis,
     integer_kernel,
+    preimage_lattice,
     smith_normal_form,
 )
 from towercalc.gen import random_complex
+from towercalc.serialize import matrix_from_doc
 
 _MATRIX = IntegerMatrix(2, 2, (1, 2, 3, 4))
 _Z2 = Presentation(1, IntegerMatrix(1, 1, (2,)))
@@ -202,6 +204,21 @@ def test_a_full_kernel_and_an_identity_basis_are_shared():
     assert integer_kernel(IntegerMatrix.zero(2, 3)) is IntegerMatrix.identity(3)
     identity = IntegerMatrix.identity(3)
     assert column_basis(identity) is identity
+
+
+def test_a_preimage_under_the_identity_is_the_relation_lattice():
+    rel = IntegerMatrix.from_rows([[2, 4], [0, 6]])
+    assert preimage_lattice(IntegerMatrix.identity(2), rel) is rel
+    # an equal identity that is not the shared one takes the general route
+    general = preimage_lattice(IntegerMatrix(2, 2, (1, 0, 0, 1)), rel)
+    assert column_basis(general) == column_basis(rel)
+
+
+def test_a_document_identity_is_the_shared_identity():
+    assert matrix_from_doc([["1", "0"], ["0", "1"]], 2, 2, "m") is IntegerMatrix.identity(2)
+    assert matrix_from_doc([], 0, 0, "m") is IntegerMatrix.identity(0)
+    for rows in ([["1", "0"], ["0", "2"]], [["0", "1"], ["1", "0"]]):
+        assert matrix_from_doc(rows, 2, 2, "m") != IntegerMatrix.identity(2)
 
 
 def test_accessors_read_the_window_and_are_zero_outside_it():

@@ -25,6 +25,7 @@ from towercalc.complexes import (
 from towercalc.errors import IllFormedMap, InputError
 from towercalc.exactalg import PRIME_CERTIFY_BOUND, FpAbelianGroup, IntegerMatrix, Presentation
 from towercalc.sections import (
+    MAX_TOWER_LENGTH,
     CospanSection,
     SectionMorphism,
     Tag,
@@ -347,6 +348,17 @@ def test_tower_length_below_level_zero_is_an_input_error():
                 build(x, -1)
     assert postnikov_tower(zero_complex(), 0).length == 0
     assert postnikov_tower(sphere_complex(-2), 0).length == 0
+
+
+def test_tower_length_past_the_bound_is_an_input_error():
+    # a shifted complex would otherwise have every level from 0 up built
+    x = moore_complex(6, 10**18)
+    for build in (postnikov_tower, free_postnikov_tower):
+        with pytest.raises(InputError, match=f"bound of {MAX_TOWER_LENGTH} "):
+            build(x, x.top_deg + 1)
+        with pytest.raises(InputError):
+            build(sphere_complex(0), MAX_TOWER_LENGTH + 1)
+    assert MAX_TOWER_LENGTH == 10_000
 
 
 @given(pieces_st)
