@@ -23,6 +23,7 @@ MOORE = str(FIXTURES / "moore_6.json")
 SPHERE = str(FIXTURES / "sphere_2.json")
 TOWER = str(FIXTURES / "tower_moore6.json")
 COSPAN = str(FIXTURES / "cospan_fracture_moore6.json")
+SEED24 = str(FIXTURES / "generated_seed24.json")  # H_-2 = Z, H_-1 = Z + Z/12
 
 
 def run(capsys, *argv):
@@ -301,6 +302,8 @@ GOLDEN = [
     (["hofib", MOORE, "--k", "0"], "hofib_moore6.report.json"),
     (["section", "check-tower", TOWER], "section_tower_moore6.report.json"),
     (["hypercomplete", "--seed", "0", "--count", "3"], "hypercomplete_seed0.report.json"),
+    (["fracture", SEED24, "--primes-j", "2", "--primes-k", "3"],
+     "fracture_seed24.report.json"),
 ]
 
 
