@@ -15,7 +15,8 @@ relations, d^2 = 0 and every square commutes, skipping only checks already
 decided (no relation columns, or a square whose sides are equal matrices).
 The public constructors run both, so documents (`serialize`, `cli`), `gen`
 and user code are checked in full.  Builders here and in `trunc`, `hofib`,
-`holim` and `exactalg` whose results follow from valid inputs use
+`holim`, `sections`, `fracture` and `exactalg` whose results follow from
+valid inputs use
 `_trusted`, which runs only `_normalise`: identities, sums, composites,
 cones and the like are valid because their inputs are; kernels, pullbacks
 (the kernel of the difference map (f, -g)) and covers are all carved out by
@@ -23,12 +24,15 @@ cones and the like are valid because their inputs are; kernels, pullbacks
 bases; sections solve their maps exactly too; a free replacement solves
 its twisting blocks exactly against relation bases, so D^2 = 0 on the nose
 and its map commutes up to relations of X (see `cofibrant_replacement`);
-and an induced map reads exact homology coordinates of a chain map.  Maps
-whose validity is being claimed, or rests on a condition nobody checked,
-stay checked: `pullback_induced_map`,
-`fiber_sequence_check`'s comparison, the maps of `sections` and `fracture`,
-and `connecting_map`, which is well defined only on a degreewise short
-exact pair that `les_certificate` does not verify.  The test suite routes
+an induced map reads exact homology coordinates of a chain map; one
+degree of a chain map (`sections._degree_map`) is well defined because the
+chain map is; and `fracture` stacks and subtracts its localization maps.
+Maps whose validity is being claimed, or rests on a condition nobody
+checked, stay checked: `pullback_induced_map`, `fiber_sequence_check`'s
+comparison, the chain maps that `sections` builds, the four localization
+and rationalization maps of `fracture`, and `connecting_map`, which is well
+defined only on a degreewise short exact pair that `les_certificate` does
+not verify.  The test suite routes
 `_trusted` through the public constructor, so it re-checks every trusted
 build.
 

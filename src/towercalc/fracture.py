@@ -3,10 +3,10 @@ the localized pieces back together.
 
 A finitely generated group is determined by its rank and invariant factors,
 and inverting the primes outside J simply filters each invariant factor down
-to its J-part (rationalizing erases torsion altogether).  Localization finds
-that part by dividing out the primes of J and never factors an order.  That
-makes every check in this module an exact computation: the short exact
-sequence
+to its J-part.  Q is the empty prime set, so rationalizing erases torsion
+altogether.  Localization finds a J-part by dividing out the primes of J
+and never factors an order.  That makes every check in this module an exact
+computation: the short exact sequence
 
     0 -> A -> A_J + A_K -> A_Q -> 0
 
@@ -27,7 +27,7 @@ primes over Q, where the overlap never degenerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import (
@@ -47,6 +47,7 @@ from .exactalg import (
     GroupMap,
     IntegerMatrix,
     Presentation,
+    block_diag,
     certified_primes,
     is_exact_pair,
     kernel_image_cokernel,
@@ -81,58 +82,30 @@ class PrimePartition:
 
 
 # ---------------------------------------------------------------------------
-# localized groups
+# localized groups and the algebraic fracture square
 
 
-@dataclass(frozen=True)
-class LocalizedGroup:
-    """A finitely generated group over Z_J (primes outside J inverted) or,
-    when `primes` is None, over Q.  Stored in invariant-factor normal form;
-    rationalizing keeps only the rank."""
-
-    primes: frozenset[int] | None
-    rank: int
-    torsion: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        self.group_shadow()  # rank and invariant-factor chain
-        if self.primes is None and self.torsion:
-            raise ValueError("a rational group has no torsion")
-        for t in self.torsion:
-            if prime_part(t, self.primes) != t:
-                raise ValueError(f"torsion Z/{t} has primes outside {sorted(self.primes)}")
-
-    @property
-    def ring(self) -> str:
-        if self.primes is None:
-            return "Q"
-        return "Z_(" + ",".join(str(p) for p in sorted(self.primes)) + ")"
-
-    def group_shadow(self) -> FpAbelianGroup:
-        """The underlying f.g. abelian group, forgetting the ring tag."""
-        return FpAbelianGroup(self.rank, self.torsion)
-
-    def __str__(self):
-        return f"{self.group_shadow()} over {self.ring}"
+def localize_group(g: FpAbelianGroup, primes: frozenset[int]) -> FpAbelianGroup:
+    """g tensored with Z_J for J = `primes`: the rank and the J-parts of the
+    invariant factors, which still form a divisibility chain.  Q is the
+    empty prime set, which keeps only the rank."""
+    return FpAbelianGroup(g.rank, tuple(u for t in g.torsion if (u := prime_part(t, primes)) > 1))
 
 
-def localize_group(g: FpAbelianGroup, primes: frozenset[int] | None) -> LocalizedGroup:
-    """g tensored with Z_J (primes = J) or with Q (primes = None)."""
-    if primes is None:
-        return LocalizedGroup(None, g.rank, ())
-    primes = frozenset(primes)
-    parts = tuple(u for t in g.torsion if (u := prime_part(t, primes)) > 1)
-    return LocalizedGroup(primes, g.rank, parts)
+def _localization(a: FpAbelianGroup, primes: frozenset[int]) -> GroupMap:
+    """λ: A -> A_J between canonical presentations: the identity on the free
+    generators and a 0/1 pick of the torsion generators that survive."""
+    n = len(a.torsion)
+    kept = [i for i, t in enumerate(a.torsion) if prime_part(t, primes) > 1]
+    pick = IntegerMatrix(len(kept), n, tuple(int(i == k) for k in kept for i in range(n)))
+    return GroupMap(Presentation.of_group(a), Presentation.of_group(localize_group(a, primes)),
+                    block_diag(IntegerMatrix.identity(a.rank), pick))
 
 
-# ---------------------------------------------------------------------------
-# the algebraic fracture square
-
-
-def _local_parts(torsion, primes):
-    """(order, original index) pairs of the surviving localized factors."""
-    return [(u, i) for i, t in enumerate(torsion)
-            if (u := prime_part(t, primes)) > 1]
+def _rationalization(local: Presentation, rank: int) -> GroupMap:
+    """ρ: A_J -> Z^rank = [I | 0], which forgets the torsion generators."""
+    return GroupMap(local, Presentation.free(rank),
+                    IntegerMatrix.identity(rank).hstack(IntegerMatrix.zero(rank, local.generators - rank)))
 
 
 def algebraic_fracture_check(a: FpAbelianGroup, p: PrimePartition) -> Certificate:
@@ -150,39 +123,14 @@ def algebraic_fracture_check(a: FpAbelianGroup, p: PrimePartition) -> Certificat
         "torsion_partition", j_part=str(FpAbelianGroup(0, aj.torsion)),
         k_part=str(FpAbelianGroup(0, ak.torsion)))
 
-    # the sequence itself, as honest maps between presentations
-    r, tors = a.rank, a.torsion
-    pres_a = Presentation.of_group(a)
-    j_parts = _local_parts(tors, p.j)
-    k_parts = _local_parts(tors, p.k)
-    pres_j = Presentation.of_group(aj.group_shadow())
-    pres_k = Presentation.of_group(ak.group_shadow())
-    pres_q = Presentation.free(r)
-    middle = pres_j.direct_sum(pres_k)
-
-    off = pres_j.generators
-    j_index = {orig: r + pos for pos, (_, orig) in enumerate(j_parts)}
-    k_index = {orig: r + pos for pos, (_, orig) in enumerate(k_parts)}
-
-    def basis_vec(positions):
-        return [1 if c in positions else 0 for c in range(middle.generators)]
-
-    left_cols = [basis_vec({f, off + f}) for f in range(r)]
-    for i in range(len(tors)):
-        hits = set()
-        if i in j_index:
-            hits.add(j_index[i])
-        if i in k_index:
-            hits.add(off + k_index[i])
-        left_cols.append(basis_vec(hits))
-    left = GroupMap(pres_a, middle,
-                    IntegerMatrix.from_cols(left_cols, rows=middle.generators))
-
-    right_cols = [[1 if q == f else 0 for q in range(r)] for f in range(r)]
-    right_cols += [[0] * r for _ in j_parts]
-    right_cols += [[-1 if q == f else 0 for q in range(r)] for f in range(r)]
-    right_cols += [[0] * r for _ in k_parts]
-    right = GroupMap(middle, pres_q, IntegerMatrix.from_cols(right_cols, rows=r))
+    # the sequence itself, as honest maps between presentations: left is
+    # (λ_J, λ_K) and right is ρ_J - ρ_K, well defined because each part is
+    lam_j, lam_k = _localization(a, p.j), _localization(a, p.k)
+    rho_j = _rationalization(lam_j.target, a.rank)
+    rho_k = _rationalization(lam_k.target, a.rank)
+    left = GroupMap._trusted(lam_j.source, lam_j.target.direct_sum(lam_k.target),
+                             lam_j.matrix.vstack(lam_k.matrix))
+    right = GroupMap._trusted(left.target, rho_j.target, rho_j.matrix.hstack(-rho_k.matrix))
 
     exact_mid, reason = is_exact_pair(left, right)
     ses_cert = bundle("localization_sequence", [
@@ -191,12 +139,7 @@ def algebraic_fracture_check(a: FpAbelianGroup, p: PrimePartition) -> Certificat
         passed("right_surjective") if right.is_surjective() else failed("right_surjective"),
     ])
 
-    def rationalize(pres: Presentation) -> GroupMap:
-        cols = [[1 if q == f else 0 for q in range(r)] for f in range(r)]
-        cols += [[0] * r for _ in range(pres.generators - r)]
-        return GroupMap(pres, pres_q, IntegerMatrix.from_cols(cols, rows=r))
-
-    reassembled, _, _ = pullback_group(rationalize(pres_j), rationalize(pres_k))
+    reassembled, _, _ = pullback_group(rho_j, rho_k)
     pullback_cert = (passed if reassembled == a else failed)(
         "reassembly", value=str(reassembled), expected=str(a))
 
@@ -253,8 +196,7 @@ def cospan_model_check(s: CospanSection) -> Certificate:
     """Fibrancy (legs surject in positive degrees) and fractured cofibrancy
     (each vertex carries only the torsion its ring tag allows, and both legs
     rationalize to isomorphisms on homology)."""
-    allowed = tuple(t.primes for t in s.tags)
-    if None in allowed or allowed[1]:
+    if any(t.kind != "local" for t in s.tags) or s.tags[1].primes:
         return bundle("fracture_cospan_model", [
             failed("ring_tags", tags=[str(t) for t in s.tags],
                    reason="expected (local-or-rational, rational, local-or-rational)")])
@@ -264,11 +206,11 @@ def cospan_model_check(s: CospanSection) -> Certificate:
         surjective_in_positive_degrees(s.right, "right leg"),
     ]
 
-    for name, cx, primes in zip(("x1", "x0", "x2"), (s.x1, s.x0, s.x2), allowed):
+    for name, cx, tag in zip(("x1", "x0", "x2"), (s.x1, s.x0, s.x2), s.tags):
         bad = None
         for d in cx.span():
             g = homology_group(cx, d)
-            if any(prime_part(t, primes) != t for t in g.torsion):
+            if localize_group(g, tag.primes) != g:
                 bad = (d, g)
                 break
         checks.append(passed("local_model", vertex=name) if bad is None else

@@ -226,7 +226,8 @@ def _window(f: ChainMap) -> range:
 
 
 def _degree_map(f: ChainMap, i: int) -> GroupMap:
-    return GroupMap(f.source.pres_at(i), f.target.pres_at(i), f.component_at(i))
+    """Degree i of f, well defined because f is."""
+    return GroupMap._trusted(f.source.pres_at(i), f.target.pres_at(i), f.component_at(i))
 
 
 def classify_injective(phi: SectionMorphism) -> Certificate:

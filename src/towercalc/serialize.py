@@ -26,6 +26,11 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+# Each degree's generators and relation rows, bounded before any matrix is
+# built: the library's transforms are dense, so memory grows with the square.
+MAX_DEGREE_SIZE = 1024
+
+
 def _count(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ParseError(where, "expected a non-negative count")
@@ -94,6 +99,10 @@ def complex_from_doc(doc: dict, where: str = "complex") -> ChainComplex:
         rel_doc = _need(deg, "relations", spot)
         if not isinstance(rel_doc, list):
             raise ParseError(f"{spot}.relations", "expected an array of rows")
+        for key, size in (("generators", gens), ("relations", len(rel_doc))):
+            if size > MAX_DEGREE_SIZE:
+                raise ParseError(f"{spot}.{key}", f"{size} is over the bound of "
+                                 f"{MAX_DEGREE_SIZE} per degree")
         # a document lists one relation per row; a Presentation holds columns
         rel = matrix_from_doc(rel_doc, len(rel_doc), gens, f"{spot}.relations")
         presentations.append(Presentation(gens, rel.transpose()))

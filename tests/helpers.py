@@ -25,7 +25,7 @@ from towercalc.exactalg import (
     preimage_lattice,
     solve_matrix,
 )
-from towercalc.fracture import LocalizedGroup, localize_group
+from towercalc.fracture import localize_group
 
 
 def tensor_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:
@@ -44,7 +44,7 @@ def diagonal_matrix(snf: SnfDecomposition, rows: int, cols: int) -> IntegerMatri
     return IntegerMatrix.from_rows(out) if rows else IntegerMatrix.zero(0, cols)
 
 
-def localize_homology(x: ChainComplex, primes: frozenset[int] | None) -> dict[int, LocalizedGroup]:
+def localize_homology(x: ChainComplex, primes: frozenset[int]) -> dict[int, FpAbelianGroup]:
     """Localized homology in every degree of the span."""
     return {i: localize_group(homology_group(x, i), primes) for i in x.span()}
 

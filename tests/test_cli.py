@@ -16,7 +16,7 @@ from towercalc.complexes import direct_sum_map
 from towercalc.exactalg import PRIME_CERTIFY_BOUND
 from towercalc.fracture import PrimePartition, fracture_cospan
 from towercalc.sections import MAX_TOWER_LENGTH, CospanSection
-from towercalc.serialize import load, save
+from towercalc.serialize import MAX_DEGREE_SIZE, load, save
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MOORE = str(FIXTURES / "moore_6.json")
@@ -219,6 +219,27 @@ def test_tower_past_the_length_bound_exits_two_at_once(capsys, tmp_path):
     assert "internal error" not in err
     save(moore_complex(6, 40), path)  # in bound: a full report as before
     assert main(["hypercomplete", str(path)]) == 0
+
+
+def test_a_degree_past_the_size_bound_exits_two_at_once(capsys, tmp_path):
+    """One line of JSON can ask for a free degree of 10^9 generators; it is
+    refused when parsed, before any matrix of that size is built."""
+    for n in (10**6, 10**9):
+        path = tmp_path / f"free_{n}.json"
+        path.write_text(json.dumps({"name": "wide", "min_degree": 0, "differentials": [],
+                                    "degrees": [{"generators": n, "relations": []}]}))
+        for argv in (["homology", str(path)], ["hypercomplete", str(path)],
+                     ["fracture", str(path), "--primes-j", "2", "--primes-k", "3"]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert f"degrees[0].generators: {n} is over the bound of {MAX_DEGREE_SIZE}" in err
+    rows = [["0"]] * (MAX_DEGREE_SIZE + 1)
+    path.write_text(json.dumps({"name": "tall", "min_degree": 0, "differentials": [],
+                                "degrees": [{"generators": 1, "relations": rows}]}))
+    assert main(["homology", str(path)]) == 2
+    assert f"relations: {MAX_DEGREE_SIZE + 1} is over the bound" in capsys.readouterr().err
 
 
 def test_verdict_and_exit_code_agree(capsys):

@@ -510,6 +510,8 @@ def test_invariant_chain_is_enforced():
         FpAbelianGroup(0, (4, 2))
     with pytest.raises(ValueError):
         FpAbelianGroup(0, (1,))
+    with pytest.raises(ValueError):
+        FpAbelianGroup(-1, ())
 
 
 def test_group_from_presentation_frozen_examples():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import localize_homology, tensor_group
+from towercalc import fracture
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
@@ -27,12 +28,12 @@ from towercalc.exactalg import (
     GroupMap,
     IntegerMatrix,
     Presentation,
+    block_diag,
     is_exact_pair,
     pullback_group,
     subgroup_presentation,
 )
 from towercalc.fracture import (
-    LocalizedGroup,
     PrimePartition,
     algebraic_fracture_check,
     arithmetic_square_check,
@@ -99,35 +100,27 @@ def test_partition_coverage():
 
 def test_localize_cyclic_six_at_two():
     got = localize_group(FpAbelianGroup.cyclic(6), frozenset({2}))
-    assert got == LocalizedGroup(frozenset({2}), 0, (2,))
-    assert got.ring == "Z_(2)"
+    assert got == FpAbelianGroup.cyclic(2)
     # oracle: tensoring with a large 2-power cyclic group picks out the 2-part
-    assert FpAbelianGroup(0, got.torsion) == tensor_group(
-        FpAbelianGroup.cyclic(6), FpAbelianGroup.cyclic(8))
+    assert got == tensor_group(FpAbelianGroup.cyclic(6), FpAbelianGroup.cyclic(8))
 
 
 def test_localize_free_group_keeps_rank_only():
     free = FpAbelianGroup(3, ())
     for primes in (frozenset(), frozenset({2}), frozenset({2, 3})):
-        assert localize_group(free, primes) == LocalizedGroup(primes, 3, ())
+        assert localize_group(free, primes) == free
 
 
 def test_rationalization_erases_torsion():
-    got = localize_group(FpAbelianGroup(2, (2, 6)), None)
-    assert got == LocalizedGroup(None, 2, ())
-    assert got.ring == "Q"
-
-
-def test_localized_group_rejects_foreign_torsion():
-    with pytest.raises(ValueError):
-        LocalizedGroup(frozenset({2}), 0, (6,))
+    # Q is the empty prime set
+    assert localize_group(FpAbelianGroup(2, (2, 6)), frozenset()) == FpAbelianGroup(2, ())
 
 
 def test_localize_homology_of_a_moore_complex():
     x = moore_complex(6, 0)
     local = localize_homology(x, frozenset({2}))
-    assert local[0] == LocalizedGroup(frozenset({2}), 0, (2,))
-    assert local[1] == LocalizedGroup(frozenset({2}), 0, ())
+    assert local[0] == FpAbelianGroup.cyclic(2)
+    assert local[1] == FpAbelianGroup.zero()
 
 
 @given(st.integers(0, 2), st.lists(order_235, max_size=3))
@@ -183,6 +176,52 @@ def test_reassembly_from_any_covering_partition(rank, orders, split):
 
 
 # ---------------------------------------------------------------------------
+# a sabotaged square on A = Z + Z/12 with J = {2}, K = {3}: each broken map
+# turns exactly its own leaves red (rank_bookkeeping passes by construction)
+
+
+Z_Z12 = FpAbelianGroup(1, (12,))
+SPLIT_2_3 = PrimePartition({2}, {3})
+
+
+def red_leaves():
+    return {c.check for c in algebraic_fracture_check(Z_Z12, SPLIT_2_3).failures()}
+
+
+def test_the_square_on_z_plus_z12_is_green():
+    assert red_leaves() == set()
+
+
+def test_a_zero_j_pick_breaks_injectivity_and_middle_exactness(monkeypatch):
+    real = fracture._localization
+
+    def zero_j_pick(a, primes):
+        lam = real(a, primes)
+        if primes != SPLIT_2_3.j:
+            return lam
+        pick = IntegerMatrix.zero(lam.target.generators - a.rank, len(a.torsion))
+        return GroupMap(lam.source, lam.target,
+                        block_diag(IntegerMatrix.identity(a.rank), pick))
+
+    monkeypatch.setattr(fracture, "_localization", zero_j_pick)
+    assert red_leaves() == {"left_injective", "middle_exact"}
+
+
+def test_zero_rationalizations_break_the_right_end_and_reassembly(monkeypatch):
+    monkeypatch.setattr(fracture, "_rationalization",
+                        lambda local, rank: GroupMap.zero(local, Presentation.free(rank)))
+    assert red_leaves() == {"middle_exact", "right_surjective", "reassembly"}
+
+
+def test_j_parts_of_one_break_the_partition_injectivity_and_reassembly(monkeypatch):
+    real = fracture.prime_part
+    # require_covers asks about J and K together, so it still sees A covered
+    monkeypatch.setattr(fracture, "prime_part",
+                        lambda t, primes: 1 if primes == SPLIT_2_3.j else real(t, primes))
+    assert red_leaves() == {"torsion_partition", "left_injective", "reassembly"}
+
+
+# ---------------------------------------------------------------------------
 # localization exactness (bookkeeping on honest short exact sequences)
 
 
@@ -207,8 +246,7 @@ def test_localizing_a_short_exact_sequence_of_finite_groups(orders, data):
     for j, _ in splits_235:
         sj, aj, qj = (localize_group(g, j) for g in (s, a, q))
         assert sj.rank == aj.rank == qj.rank == 0
-        assert (sj.group_shadow().torsion_order * qj.group_shadow().torsion_order
-                == aj.group_shadow().torsion_order)
+        assert sj.torsion_order * qj.torsion_order == aj.torsion_order
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +367,6 @@ def test_partition_certifies_large_primes_quickly():
         PrimePartition({3215031751}, ())  # strong pseudoprime to base 2
     with pytest.raises(ValueError, match=str(PRIME_CERTIFY_BOUND)):
         PrimePartition({PRIME_CERTIFY_BOUND + 2}, ())
-
-
-def test_localized_group_rejects_bad_torsion():
-    with pytest.raises(ValueError):
-        LocalizedGroup(frozenset({2}), 0, (6,))
-    with pytest.raises(ValueError):
-        LocalizedGroup(frozenset({2}), 0, (4, 2))
-    with pytest.raises(ValueError):
-        LocalizedGroup(frozenset({2}), -1, ())
 
 
 def test_homology_of_a_large_semiprime_moore_complex_is_fast():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from towercalc.complexes import moore_complex
 from towercalc.sections import MAX_TOWER_LENGTH
+from towercalc.serialize import MAX_DEGREE_SIZE
 from towercalc.serialize import object_from_doc
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -36,3 +37,9 @@ def test_library_tour_prints_what_it_says():
 def test_tower_length_bound_is_the_librarys():
     stated = re.search(r"longer than (\d+)\s+structure maps \(`sections.MAX_TOWER_LENGTH`\)", README)
     assert stated and int(stated.group(1)) == MAX_TOWER_LENGTH
+
+
+def test_degree_size_bound_is_the_librarys():
+    stated = re.search(r"at most (\d+) generators and (\d+) relation rows\s+"
+                       r"\(`serialize.MAX_DEGREE_SIZE`\)", README)
+    assert stated and int(stated.group(1)) == int(stated.group(2)) == MAX_DEGREE_SIZE
