@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .certificates import Certificate, bundle, failed, passed
-from .errors import IllFormedMap, NotCofibrant, ValidationError
+from .errors import IllFormedMap, InputError, NotCofibrant, ValidationError
 from .exactalg import (
     BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
@@ -86,18 +86,18 @@ from .exactalg import (
     block_diag,
     column_basis,
     is_exact_pair,
+    kron,
     preimage_lattice,
     solve_matrix,
     subgroup_presentation,
     subquotient,
 )
 
-
-def _matrix_from_items(rows: int, cols: int, items) -> IntegerMatrix:
-    ent = [0] * (rows * cols)
-    for r, c, v in items:
-        ent[r * cols + c] += v
-    return IntegerMatrix(rows, cols, tuple(ent))
+# Generators and relations per degree, bounded before any matrix is built:
+# of a document's degrees in `serialize`, and of a mapping complex's degrees
+# here.  The library's transforms are dense, so memory grows with
+# the square of this count.
+MAX_DEGREE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +237,21 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
         for i, sp, f in zip(self.source.span(), self.source.degrees, self.components):
             if sp.relations.cols and not self.target.pres_at(i).contains_in_relations(f @ sp.relations):
                 raise IllFormedMap(f"component at degree {i} does not respect relations")
-        lo = min(self.source.min_deg, self.target.min_deg)
-        hi = max(self.source.top_deg, self.target.top_deg)
-        for i in range(lo + 1, hi + 1):
+        for i in self.window[1:]:
             walk_down = self.component_at(i - 1) @ self.source.diff_at(i)
             push_down = self.target.diff_at(i) @ self.component_at(i)
             if walk_down == push_down:  # commutes on the nose
                 continue
             if not self.target.pres_at(i - 1).contains_in_relations(walk_down - push_down):
                 raise IllFormedMap(f"square at degree {i} does not commute")
+
+    @property
+    def window(self) -> range:
+        """The degrees where source or target is nonzero: from the lower
+        min_deg to the higher top_deg (empty for two zero complexes)."""
+        source, target = self.source, self.target
+        return range(min(source.min_deg, target.min_deg),
+                     max(source.top_deg, target.top_deg) + 1)
 
     def component_at(self, i: int) -> IntegerMatrix:
         if 0 <= (j := i - self.source.min_deg) < len(self.components):
@@ -363,9 +369,7 @@ def induced_map(f: ChainMap, i: int) -> GroupMap:
 def is_quasi_iso(f: ChainMap) -> Certificate:
     """Pass iff homology of f is an isomorphism in every degree; the witness
     carries the least failing degree."""
-    lo = min(f.source.min_deg, f.target.min_deg)
-    hi = max(f.source.top_deg, f.target.top_deg)
-    for i in range(lo, hi + 1):
+    for i in f.window:
         if not induced_map(f, i).is_iso():
             return failed("quasi_iso", degree=i,
                           source=str(homology_group(f.source, i)),
@@ -414,81 +418,57 @@ def cotuple(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
-    """Cone(f)_n = X_{n-1} + Y_n with d(x, y) = (-dx, dy - fx)."""
+    """Cone(f)_n = X_{n-1} + Y_n, d(x, y) = (-dx, dy - fx): d_n = [[-d_X, 0], [-f, d_Y]]."""
     x, y = f.source, f.target
     lo = min(x.min_deg + 1, y.min_deg)
     hi = max(x.top_deg + 1, y.top_deg)
-    degs = []
-    diffs = []
-    for n in range(lo, hi + 1):
-        degs.append(x.pres_at(n - 1).direct_sum(y.pres_at(n)))
-        if n > lo:
-            gx, gy = x.pres_at(n - 1).generators, y.pres_at(n).generators
-            rx, ry = x.pres_at(n - 2).generators, y.pres_at(n - 1).generators
-            dx = x.diff_at(n - 1)
-            dy = y.diff_at(n)
-            fm = f.component_at(n - 1)
-            items = []
-            for r in range(rx):
-                for c in range(gx):
-                    items.append((r, c, -dx.entry(r, c)))
-            for r in range(ry):
-                for c in range(gx):
-                    items.append((rx + r, c, -fm.entry(r, c)))
-                for c in range(gy):
-                    items.append((rx + r, gx + c, dy.entry(r, c)))
-            diffs.append(_matrix_from_items(rx + ry, gx + gy, items))
-    return ChainComplex._trusted(lo, tuple(degs), tuple(diffs))
+    degs = tuple(x.pres_at(n - 1).direct_sum(y.pres_at(n)) for n in range(lo, hi + 1))
+    blocks = ((x.diff_at(n - 1), f.component_at(n - 1), y.diff_at(n)) for n in range(lo + 1, hi + 1))
+    diffs = tuple((-dx).vstack(-fx).hstack(IntegerMatrix.zero(dx.rows, dy.cols).vstack(dy))
+                  for dx, fx, dy in blocks)
+    return ChainComplex._trusted(lo, degs, diffs)
 
 
 def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
     """Mapping complex: degree k holds the maps lowering degree by -k,
     i.e. families M_i -> N_{i+k}, with (df)(x) = d(f(x)) + (-1)^{k+1} f(d(x)).
 
-    The source must be degreewise free; generator (i, a, b) sends generator a
-    of M_i to generator b of N_{i+k}."""
+    The source must be degreewise free.  Degree k has the generators
+    (i, a, b) in that order, i over M's window: (i, a, b) sends generator a
+    of M_i to generator b of N_{i+k}.  In blocks over i, degree k is
+    presented by block_diag of kron(I_{g_M(i)}, R_{N,i+k}), and its
+    differential is kron(I_{g_M(i)}, d_{N,i+k}) on the block diagonal plus
+    (-1)^{k+1} kron(d_{M,i+1}^T, I_{g_N(i+k)}) on the block subdiagonal
+    (column block i, row block i+1).  A degree with more than
+    MAX_DEGREE_SIZE generators or relations raises InputError before any
+    matrix is built."""
     if not m.is_degreewise_free:
         raise NotCofibrant("mapping complex requires a degreewise-free source")
     if m.is_zero or n.is_zero:
         return zero_complex()
     lo = n.min_deg - m.top_deg
     hi = n.top_deg - m.min_deg
+    for k in range(lo, hi + 1):
+        parts = [(m.pres_at(i).generators, n.pres_at(i + k)) for i in m.span()]
+        for what, size in (("generators", sum(g * p.generators for g, p in parts)),
+                           ("relations", sum(g * p.relations.cols for g, p in parts))):
+            if size > MAX_DEGREE_SIZE:
+                raise InputError(f"mapping complex degree {k} has {size} {what}, "
+                                 f"over the bound of {MAX_DEGREE_SIZE} per degree")
 
-    def layer(k):
-        gens = []
-        for i in m.span():
-            for a in range(m.pres_at(i).generators):
-                for b in range(n.pres_at(i + k).generators):
-                    gens.append((i, a, b))
-        return gens
+    def eye(x, i):
+        return IntegerMatrix.identity(x.pres_at(i).generators)
 
-    def layer_presentation(k, gens):
-        rel_blocks = [n.pres_at(i + k).relations
-                      for i in m.span() for _ in range(m.pres_at(i).generators)]
-        return Presentation(len(gens), block_diag(*rel_blocks))
-
-    layers = {k: layer(k) for k in range(lo, hi + 1)}
-    degs = [layer_presentation(k, layers[k]) for k in range(lo, hi + 1)]
-    diffs = []
-    for k in range(lo + 1, hi + 1):
-        src = layers[k]
-        dst = layers[k - 1]
-        pos = {g: r for r, g in enumerate(dst)}
-        sign = -1 if (k + 1) % 2 else 1
-        items = []
-        for c, (i, a, b) in enumerate(src):
-            dn = n.diff_at(i + k)
-            for cc in range(dn.rows):
-                v = dn.entry(cc, b)
-                if v:
-                    items.append((pos[(i, a, cc)], c, v))
-            dm = m.diff_at(i + 1)
-            for aa in range(dm.cols):
-                v = dm.entry(a, aa)
-                if v:
-                    items.append((pos[(i + 1, aa, b)], c, sign * v))
-        diffs.append(_matrix_from_items(len(dst), len(src), items))
-    return ChainComplex._trusted(lo, tuple(degs), tuple(diffs))
+    rels = (block_diag(*(kron(eye(m, i), n.pres_at(i + k).relations) for i in m.span()))
+            for k in range(lo, hi + 1))
+    degs = tuple(Presentation(r.rows, r) for r in rels)
+    # the subdiagonal as a block diagonal whose first block (i = min_deg - 1) has no columns
+    diffs = tuple(
+        block_diag(*(kron(eye(m, i), n.diff_at(i + k)) for i in m.span()))
+        + block_diag(*(kron(m.diff_at(i + 1).transpose(), eye(n, i + k))
+                       for i in range(m.min_deg - 1, m.top_deg + 1))).scale(1 if k % 2 else -1)
+        for k in range(lo + 1, hi + 1))
+    return ChainComplex._trusted(lo, degs, diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ map's matrix has shape (target generators x source generators) and acts on
 the left.  A presentation's relation matrix stores one relation per COLUMN
 (shape generators x relations), so its columns span the relation lattice
 and every lattice routine takes it as it is.  Only `serialize` sees the
-document layout of one relation per row.
+document layout of one relation per row.  Block matrices are built whole
+by `hstack`, `vstack`, `block_diag` and `kron` (the Kronecker product).
 """
 from __future__ import annotations
 
@@ -297,6 +298,12 @@ def block_diag(*mats: IntegerMatrix) -> IntegerMatrix:
             out.extend((0,) * c + m.row(i) + (0,) * (cols - c - m.cols))
         c += m.cols
     return IntegerMatrix(rows, cols, tuple(out))
+
+
+def kron(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """Kronecker product: block (i, j) is a[i, j] * b."""
+    return IntegerMatrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        x * y for i in range(a.rows) for p in range(b.rows) for x in a.row(i) for y in b.row(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -219,12 +219,6 @@ def constant_tower(x: ChainComplex, m: int) -> TowerSection:
 # componentwise classification
 
 
-def _window(f: ChainMap) -> range:
-    lo = min(f.source.min_deg, f.target.min_deg)
-    hi = max(f.source.top_deg, f.target.top_deg)
-    return range(lo, hi + 1)
-
-
 def _degree_map(f: ChainMap, i: int) -> GroupMap:
     """Degree i of f, well defined because f is."""
     return GroupMap._trusted(f.source.pres_at(i), f.target.pres_at(i), f.component_at(i))
@@ -243,7 +237,7 @@ def classify_injective(phi: SectionMorphism) -> Certificate:
     cofib: Certificate = passed("componentwise_cofibration")
     for lvl, f in enumerate(phi.components):
         bad = None
-        for i in _window(f):
+        for i in f.window:
             gm = _degree_map(f, i)
             if not gm.is_injective():
                 bad = (i, "component is not injective")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .complexes import ChainComplex, ChainMap
+from .complexes import MAX_DEGREE_SIZE, ChainComplex, ChainMap
 from .errors import IllFormedMap, InputError, ParseError, ValidationError
 from .exactalg import IntegerMatrix, Presentation
 from .sections import CospanSection, Tag, TowerSection, parse_decimal
@@ -24,11 +24,6 @@ def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ParseError(where, f"missing key '{key}'")
     return doc[key]
-
-
-# Each degree's generators and relation rows, bounded before any matrix is
-# built: the library's transforms are dense, so memory grows with the square.
-MAX_DEGREE_SIZE = 1024
 
 
 def _count(value, where: str) -> int:

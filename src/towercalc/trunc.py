@@ -60,8 +60,8 @@ def is_n_type(x: ChainComplex, n: int) -> Certificate:
 def is_Pn_weq(f: ChainMap, n: int) -> Certificate:
     """Pass iff H_i(f) is an isomorphism for every i <= n.  Above both top
     degrees both sides are zero, so the walk stops there however large n is."""
-    lo = min(f.source.min_deg, f.target.min_deg)
-    for i in range(lo, min(n, max(f.source.top_deg, f.target.top_deg)) + 1):
+    window = f.window
+    for i in range(window.start, min(n + 1, window.stop)):
         if not induced_map(f, i).is_iso():
             return failed("truncated_weq", level=n, degree=i,
                           source=str(homology_group(f.source, i)),

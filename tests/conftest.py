@@ -14,10 +14,12 @@ the trusted path as the library does.
 
 The library decides isomorphism, injectivity, exactness and the equality of
 nested lattices from invariant factors (see "Deciding by invariants" in
-`exactalg`).  Here each such decision is also made by the reference route of
-`helpers`, kernel presentations and lattice solves, and any disagreement
-raises CharacterizationMismatch.  A test marked `single_route` decides by
-the library's route alone, as tests that count lattice work must.
+`exactalg`), and quasi-isomorphism from the maps induced on homology.  Here
+each such decision is also made by the reference route of `helpers` (kernel
+presentations and lattice solves; for a quasi-isomorphism f, whether
+H(Cone f) = 0), and any disagreement raises CharacterizationMismatch.  A
+test marked `single_route` decides by the library's route alone, as tests
+that count lattice work must.
 """
 import importlib
 import pkgutil
@@ -26,8 +28,14 @@ import sys
 import pytest
 
 import towercalc
-from helpers import exact_pair_by_containment, injective_by_kernel, iso_by_kernel, lattice_eq
-from towercalc import exactalg
+from helpers import (
+    exact_pair_by_containment,
+    injective_by_kernel,
+    iso_by_kernel,
+    lattice_eq,
+    quasi_iso_by_cone,
+)
+from towercalc import complexes, exactalg
 from towercalc.errors import CharacterizationMismatch
 from towercalc.exactalg import GroupMap, Trusted
 
@@ -61,28 +69,33 @@ def check_trusted_builds(monkeypatch):
     monkeypatch.setattr(Trusted, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
 
 
-def _both_routes(name, route, reference):
-    """`route`, checked against `reference` on every call."""
+def _both_routes(name, route, reference, verdict=None):
+    """`route`, checked against `reference` on every call; `verdict`, if
+    given, reads the route's answer in the reference's terms."""
     def decide(*args):
-        got, want = route(*args), reference(*args)
-        if got != want:
+        got = route(*args)
+        seen = got if verdict is None else verdict(got)
+        want = reference(*args)
+        if seen != want:
             raise CharacterizationMismatch(
-                f"{name}: {got!r} from invariant factors, {want!r} from lattice solves")
+                f"{name}: {seen!r} from the library's route, {want!r} from the reference")
         return got
     return decide
 
 
 def check_both_routes(monkeypatch):
-    """Decide `is_iso`, `is_injective`, `is_exact_pair` and
-    `nested_lattices_equal` both ways, in every towercalc namespace that
-    holds the library's function."""
+    """Decide `is_iso`, `is_injective`, `is_exact_pair`,
+    `nested_lattices_equal` and `is_quasi_iso` both ways, in every towercalc
+    namespace that holds the library's function."""
     for attr, reference in (("is_iso", iso_by_kernel), ("is_injective", injective_by_kernel)):
         monkeypatch.setattr(GroupMap, attr,
                             _both_routes(attr, getattr(GroupMap, attr), reference))
-    for attr, reference in (("is_exact_pair", exact_pair_by_containment),
-                            ("nested_lattices_equal", lattice_eq)):
-        route = getattr(exactalg, attr)
-        checked = _both_routes(attr, route, reference)
+    for home, attr, reference, verdict in (
+            (exactalg, "is_exact_pair", exact_pair_by_containment, None),
+            (exactalg, "nested_lattices_equal", lattice_eq, None),
+            (complexes, "is_quasi_iso", quasi_iso_by_cone, lambda cert: cert.passed)):
+        route = getattr(home, attr)
+        checked = _both_routes(attr, route, reference, verdict)
         for key, mod in list(sys.modules.items()):
             if key.startswith("towercalc.") and getattr(mod, attr, None) is route:
                 monkeypatch.setattr(mod, attr, checked)

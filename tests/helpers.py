@@ -10,6 +10,7 @@ from towercalc.complexes import (
     HomologyProfile,
     direct_sum,
     homology_group,
+    mapping_cone,
     moore_complex,
     sphere_complex,
     zero_complex,
@@ -63,7 +64,8 @@ def complex_from_homology(profile: HomologyProfile) -> ChainComplex:
 
 # ---------------------------------------------------------------------------
 # reference routes: isomorphism, injectivity and exactness decided by kernel
-# presentations and lattice solves, with no appeal to the Hopfian property
+# presentations and lattice solves, with no appeal to the Hopfian property,
+# and quasi-isomorphism decided by the mapping cone
 
 
 def lattice_eq(a: IntegerMatrix, b: IntegerMatrix) -> bool:
@@ -93,6 +95,14 @@ def exact_pair_by_containment(f: GroupMap, g: GroupMap):
     if not lattice_contains(im, ker):
         return False, "kernel not contained in image"
     return True, ""
+
+
+def quasi_iso_by_cone(f: ChainMap) -> bool:
+    """H(Cone f) = 0: the long exact sequence ... -> H_i(X) -> H_i(Y) ->
+    H_i(Cone f) -> H_{i-1}(X) -> ... makes every H_i(f) an isomorphism
+    exactly when the cone is acyclic."""
+    cone = mapping_cone(f)
+    return all(homology_group(cone, i).is_zero for i in cone.span())
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,24 @@ def test_a_degree_past_the_size_bound_exits_two_at_once(capsys, tmp_path):
     assert f"relations: {MAX_DEGREE_SIZE + 1} is over the bound" in capsys.readouterr().err
 
 
+def test_a_mapping_complex_past_the_size_bound_exits_two_at_once(capsys, tmp_path):
+    """Degree k of hom(M, N) has sum_i g_M(i) g_N(i+k) generators, so two
+    documents well inside the per-degree bound can ask for a mapping complex
+    far past it; `homcx` and `uct` refuse it before any matrix is built."""
+    wide, at_bound = tmp_path / "free_96.json", tmp_path / "free_32.json"
+    save(sphere_complex(0, 96), wide)
+    save(sphere_complex(0, 32), at_bound)  # 32 * 32 = 1024 hom generators
+    for command, *flags in (["homcx"], ["uct", "--n", "0"]):
+        start = time.perf_counter()
+        assert main([command, str(wide), str(wide), *flags]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert (f"mapping complex degree 0 has {96 * 96} generators, "
+                f"over the bound of {MAX_DEGREE_SIZE}") in err
+        assert main([command, str(at_bound), str(at_bound), *flags]) == 0
+        capsys.readouterr()
+
+
 def test_verdict_and_exit_code_agree(capsys):
     for argv in (["homology", MOORE],
                  ["milnor", TOWER],

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import all_caches
 from helpers import complex_from_homology, stepwise_free_approximation
 from towercalc.complexes import (
+    MAX_DEGREE_SIZE,
     ChainComplex,
     ChainMap,
     HomologyProfile,
@@ -37,7 +38,7 @@ from towercalc.complexes import (
     sphere_complex,
     zero_complex,
 )
-from towercalc.errors import IllFormedMap, NotCofibrant, ValidationError
+from towercalc.errors import IllFormedMap, InputError, NotCofibrant, ValidationError
 from towercalc.exactalg import (
     BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
@@ -274,6 +275,20 @@ def test_hom_into_zero_complex():
 def test_hom_requires_free_source():
     with pytest.raises(NotCofibrant):
         hom_complex(cyclic_layer(2, 0), sphere_complex(0))
+
+
+def test_hom_degree_sizes_sum_over_the_source_window():
+    """Degree 0 of hom(M, M) has 32 * 32 + 1 * 1 generators here, one past the
+    bound, and is refused before any matrix is built; so is a degree of two
+    generators with 2 * 513 relations."""
+    m = direct_sum(sphere_complex(0, 32), sphere_complex(1))
+    with pytest.raises(InputError, match=f"degree 0 has {MAX_DEGREE_SIZE + 1} generators"):
+        hom_complex(m, m)
+    many_relations = ChainComplex(0, (Presentation(1, IntegerMatrix.from_rows([[2] * 513])),), ())
+    with pytest.raises(InputError, match="degree 0 has 1026 relations"):
+        hom_complex(sphere_complex(0, 2), many_relations)
+    assert homology(hom_complex(m, sphere_complex(1))) == HomologyProfile.of(
+        [(0, FpAbelianGroup.free(1)), (1, FpAbelianGroup.free(32))])
 
 
 def test_hom_moore_into_sphere_frozen():

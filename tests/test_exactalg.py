@@ -30,6 +30,7 @@ from towercalc.exactalg import (
     GroupMap,
     IntegerMatrix,
     Presentation,
+    block_diag,
     column_basis,
     ext_group,
     group_from_presentation,
@@ -37,6 +38,7 @@ from towercalc.exactalg import (
     integer_kernel,
     is_exact_pair,
     kernel_image_cokernel,
+    kron,
     lattice_contains,
     mittag_leffler_diagnostic,
     nested_lattices_equal,
@@ -365,6 +367,19 @@ def test_det_bareiss_known_values():
     assert IntegerMatrix.identity(4).det() == 1
     assert IntegerMatrix.zero(2, 2).det() == 0
     assert IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]).det() == -3
+
+
+@given(matrices(3), matrices(3), st.integers(0, 3))
+@settings(max_examples=60)
+def test_kron_places_a_scaled_copy_of_b_in_each_block(a_rows, b_rows, g):
+    a, b = IntegerMatrix.from_rows(a_rows), IntegerMatrix.from_rows(b_rows)
+    got = kron(a, b)
+    assert (got.rows, got.cols) == (a.rows * b.rows, a.cols * b.cols)
+    for i, j, p, q in itertools.product(range(a.rows), range(a.cols),
+                                        range(b.rows), range(b.cols)):
+        assert got.entry(i * b.rows + p, j * b.cols + q) == a.entry(i, j) * b.entry(p, q)
+    assert kron(IntegerMatrix.identity(g), b) == block_diag(*[b] * g)
+    assert kron(IntegerMatrix.zero(g, 0), b) == IntegerMatrix.zero(g * b.rows, 0)
 
 
 # ---------------------------------------------------------------------------
