@@ -11,7 +11,9 @@ stderr).
 
 `main(argv)` may be called repeatedly in one process: the argument parser is
 built on the first call and reused, and each call parses into a fresh
-namespace.
+namespace.  A document's bytes are parsed once per process, up to
+BUILD_CACHE_MAXSIZE documents (`serialize.loads`): failures are not kept,
+and changed bytes are read afresh.
 """
 from __future__ import annotations
 
@@ -108,8 +110,9 @@ def _render(cert: Certificate, lines: list, depth: int) -> None:
 
 def _load(path: str, kind: str):
     """The `kind` document at `path`, with the report's inputs: its base
-    name and the sha256 of the bytes that were parsed.  The file is read
-    once."""
+    name and the sha256 of its bytes.  The file is read on every call; its
+    bytes are parsed once (`serialize.loads`), and the kind check and the
+    digest run every time."""
     raw = serialize.read(path)
     obj = serialize.loads(raw, path)
     if not isinstance(obj, serialize.KINDS[kind]):

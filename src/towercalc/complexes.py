@@ -63,6 +63,10 @@ on a shared key compares by identity.
   `subquotient` in `exactalg` keep BUILD_CACHE_MAXSIZE entries too: the
   homology and kernel computations of one battery repeat most of their
   lattice problems.
+- `serialize.loads` keeps the objects of BUILD_CACHE_MAXSIZE documents,
+  keyed by their bytes and location: a process that runs several commands
+  on one file gets the same complex, tower or cospan each time, so the
+  caches above are hit by identity.
 - A branch that hands back the caller's own complex runs before the cache
   (`cofibrant_replacement` of a free complex, `connective_cover` below the
   window), so it still returns that very object.

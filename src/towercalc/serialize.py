@@ -6,15 +6,21 @@ validates everything the constructors validate; a malformed document raises
 ParseError, a well-formed document describing a broken object (d squared
 nonzero, a non-commuting square) raises ValidationError, both with a
 location naming the offending spot.
+
+`loads` keeps the objects of the last BUILD_CACHE_MAXSIZE documents it
+parsed, keyed by their exact bytes and location, so a process that reads
+one file for several commands parses and validates it once.  Failures are
+not kept, and changed bytes are a new key that is parsed afresh.
 """
 from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 
 from .complexes import MAX_DEGREE_SIZE, ChainComplex, ChainMap
 from .errors import IllFormedMap, InputError, ParseError, ValidationError
-from .exactalg import IntegerMatrix, Presentation
+from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, Presentation
 from .sections import CospanSection, Tag, TowerSection, parse_decimal
 
 
@@ -250,15 +256,21 @@ def read(path: str) -> bytes:
         raise ParseError(str(path), str(err)) from err
 
 
+@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def loads(raw: bytes, where: str):
     """The object a document's bytes describe.  Bytes that are not UTF-8,
-    are not JSON, or nest too deeply for the JSON reader raise ParseError
-    located at `where`."""
+    are not JSON (a number past the interpreter's digit limit included), or
+    nest too deeply for the JSON reader raise ParseError located at `where`.
+
+    A memo keyed by the exact bytes and `where`: loading unchanged bytes
+    again hands back the very same immutable object, so neither parsing nor
+    the constructors' checks run twice.  A failure is not kept, so a broken
+    document is parsed and rejected again on every call."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as err:
         raise ParseError(where, f"not valid UTF-8: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseError(where, f"not valid JSON: {err}") from err
     except RecursionError as err:
         raise ParseError(where, "not valid JSON: arrays or objects nest too deeply") from err

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from towercalc import cli
+from towercalc import cli, serialize
 from towercalc.cli import main
 from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_complex, zero_complex
 from towercalc.complexes import direct_sum_map
@@ -117,7 +117,9 @@ def test_unusable_inputs_exit_two(capsys):
 
 def test_undecodable_and_too_deeply_nested_documents_exit_two(capsys, tmp_path):
     for name, raw in (("latin1.json", b'{"name": "caf\xe9"}'),
-                      ("deep.json", b"[" * 200000 + b"]" * 200000)):
+                      ("deep.json", b"[" * 200000 + b"]" * 200000),
+                      ("digits.json", b'{"min_degree": ' + b"7" * 5000 +
+                       b', "degrees": [], "differentials": []}')):
         path = tmp_path / name
         path.write_bytes(raw)
         assert main(["homology", str(path)]) == 2
@@ -142,6 +144,38 @@ def test_each_input_is_read_once_and_digested_as_parsed(capsys, monkeypatch):
     assert json.loads(out)["inputs"] == {
         Path(p).name: "sha256:" + hashlib.sha256(Path(p).read_bytes()).hexdigest()
         for p in (SPHERE, MOORE)}
+
+
+def test_unchanged_bytes_are_parsed_once_per_process(capsys, monkeypatch, tmp_path):
+    parsed = []
+    real = serialize.object_from_doc
+
+    def counting(doc, where):
+        parsed.append(where)
+        return real(doc, where)
+
+    monkeypatch.setattr(serialize, "object_from_doc", counting)
+    path = tmp_path / "doc.json"
+    path.write_bytes(Path(MOORE).read_bytes())
+    first = run(capsys, "homology", str(path), "--format", "machine")
+    assert run(capsys, "homology", str(path), "--format", "machine") == first
+    assert first[0] == 0 and parsed == [str(path)]
+    # new bytes at the same path are a new document
+    path.write_bytes(Path(SPHERE).read_bytes())
+    code, out = run(capsys, "homology", str(path), "--format", "machine")
+    assert code == 0 and parsed == [str(path)] * 2
+    assert json.loads(out)["checks"] == json.loads(
+        run(capsys, "homology", SPHERE, "--format", "machine")[1])["checks"]
+
+
+def test_rejected_documents_are_rejected_on_every_call(capsys):
+    messages = []
+    for argv in (["homology", str(FIXTURES / "invalid_d2.json")], ["homology", TOWER]):
+        for _ in range(2):
+            assert main(argv) == 2
+            messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1] and messages[2] == messages[3]
+    assert "expected a complex document" in messages[3]
 
 
 def write_moore(tmp_path, entry: str) -> str:

@@ -99,8 +99,14 @@ def test_not_json_is_a_parse_error(tmp_path):
 
 
 def test_undecodable_and_too_deeply_nested_documents_are_parse_errors(tmp_path):
+    digits = "7" * 5000  # a JSON integer past the interpreter's digit limit
     cases = {"latin1.json": (b'{"name": "caf\xe9"}', "not valid UTF-8"),
-             "deep.json": (b"[" * 200000 + b"]" * 200000, "nest too deeply")}
+             "deep.json": (b"[" * 200000 + b"]" * 200000, "nest too deeply"),
+             "min_degree.json": (f'{{"min_degree": {digits}, "degrees": [], '
+                                 f'"differentials": []}}'.encode(), "not valid JSON"),
+             "generators.json": (f'{{"min_degree": 0, "degrees": [{{"generators": '
+                                 f'{digits}, "relations": []}}], '
+                                 f'"differentials": []}}'.encode(), "not valid JSON")}
     for name, (raw, message) in cases.items():
         path = tmp_path / name
         path.write_bytes(raw)
