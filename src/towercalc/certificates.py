@@ -7,6 +7,7 @@ deterministically so reports can be compared byte-for-byte.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 
@@ -19,7 +20,15 @@ def int_text(n: int) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str) or value is None:
+    if isinstance(value, str) or value is None:
+        return value
+    if isinstance(value, int):  # bools too
+        # json.dumps cannot write an int past the int-to-str digit limit, so
+        # int_text writes it in hex; the bit-length test keeps 10 ** limit
+        # off the common path
+        limit = sys.get_int_max_str_digits()
+        if limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
+            return int_text(value)
         return value
     # exact types: matrices and other tuple-backed records render by str below
     if type(value) in (list, tuple):

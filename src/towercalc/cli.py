@@ -31,14 +31,7 @@ from functools import lru_cache
 from . import serialize
 from .certificates import Certificate, bundle, failed, passed
 from .complexes import ChainComplex, hom_complex, homology_group
-from .errors import (
-    IllFormedMap,
-    InputError,
-    NotCofibrant,
-    ParseError,
-    PartitionTooSmall,
-    ValidationError,
-)
+from .errors import InputError, NotCofibrant, ParseError, PartitionTooSmall, ValidationError
 from .exactalg import BUILD_CACHE_MAXSIZE
 from .fracture import PrimePartition, arithmetic_square_check, cospan_model_check
 from .gen import GenProfile, generate, random_complex
@@ -54,8 +47,7 @@ from .sections import (
 )
 from .trunc import connective_cover, is_n_type, is_Pn_weq, layer, postnikov_section
 
-_INPUT_ERRORS = (ParseError, ValidationError, InputError, NotCofibrant, PartitionTooSmall,
-                 IllFormedMap)
+_INPUT_ERRORS = (ParseError, ValidationError, InputError, NotCofibrant, PartitionTooSmall)
 
 
 # ---------------------------------------------------------------------------

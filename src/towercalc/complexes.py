@@ -77,7 +77,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .certificates import Certificate, bundle, failed, passed
+from .certificates import Certificate, bundle, failed, int_text, passed
 from .errors import IllFormedMap, InputError, NotCofibrant, ValidationError
 from .exactalg import (
     BUILD_CACHE_MAXSIZE,
@@ -457,7 +457,7 @@ def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
         for what, size in (("generators", sum(g * p.generators for g, p in parts)),
                            ("relations", sum(g * p.relations.cols for g, p in parts))):
             if size > MAX_DEGREE_SIZE:
-                raise InputError(f"mapping complex degree {k} has {size} {what}, "
+                raise InputError(f"mapping complex degree {int_text(k)} has {size} {what}, "
                                  f"over the bound of {MAX_DEGREE_SIZE} per degree")
 
     def eye(x, i):

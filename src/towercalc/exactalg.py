@@ -11,13 +11,12 @@ row at a time with back-reduction (Kannan-Bachem 1979), so every entry
 above a pivot stays below that pivot.  `smith_normal_form` alternates row
 and column Hermite forms of the matrix with its transforms appended;
 `column_basis` is the nonzero part of one column Hermite form; and
-`group_from_presentation` reads invariant factors from one Hermite form
-by elimination modulo the product of its pivots (Domich-Kannan-Trotter
-1987), tracking no transforms.  The transforms stay near the size of the
-matrix's minors: on dense 32 x 32 matrices with entries at most 9 their
-largest entry measured 136 bits against a 158-bit Hadamard bound, where a
-transform-tracking elimination without reduction reached thousands of bits
-at 10 x 10.
+`group_from_presentation` runs the same alternation on one column Hermite
+form with empty transforms, since invariant factors need none.  The Smith
+transforms stay near the size of the matrix's minors: on dense 32 x 32
+matrices with entries at most 9 their largest entry measured 136 bits
+against a 158-bit Hadamard bound, where a transform-tracking elimination
+without reduction reached thousands of bits at 10 x 10.
 
 Caches
 ------
@@ -407,8 +406,10 @@ def _settled(a) -> bool:
 def _diagonalize(a, u, vt):
     """Diagonalize `a` (a list of rows) by alternating row and column
     Hermite forms.  Row i of `u` rides along with row i of a and row j of
-    `vt` with column j, so identities come back as U and V^T.  Both
-    augmented matrices have full row rank: no row drops out."""
+    `vt` with column j, so identities come back as U and V^T: both
+    augmented matrices then have full row rank and no row drops out.  With
+    empty transforms (lists of empty rows) zero rows and columns drop out,
+    and the caller reads rank-many diagonal entries."""
     nr, nc = len(u), len(vt)
     rows_next = True
     while not _settled(a):
@@ -660,9 +661,6 @@ class FpAbelianGroup:
     def torsion_order(self) -> int:
         return prod(self.torsion)
 
-    def order(self) -> int | None:
-        return None if self.rank else self.torsion_order
-
     def direct_sum(self, other: "FpAbelianGroup") -> "FpAbelianGroup":
         return FpAbelianGroup.from_orders(self.rank + other.rank, self.torsion + other.torsion)
 
@@ -676,80 +674,33 @@ class FpAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _diagonal_mod(rows, modulus: int) -> list[int]:
-    """Diagonal entries, one per column, of a Smith form of `rows` modulo
-    `modulus` (columns past the last row are left out).  Each step takes
-    the first column: with g = gcd(pivot, modulus), one row step clears
-    every entry that g divides and an xgcd step on any other lowers g.  No
-    column steps are needed once g divides the rest of the pivot row: its
-    entries then clear modulo `modulus` without touching any other row."""
-    a = [[x % modulus for x in r] for r in rows]
-    out = []
-    while a and a[0]:
-        pt = next((r for r in a if r[0]), None)
-        if pt is None:
-            a = [r[1:] for r in a]
-            out.append(modulus)
-            continue
-        a.remove(pt)
-        while True:
-            x = pt[0]
-            g = gcd(x, modulus)
-            inv = pow(x // g, -1, modulus // g)
-            for i, r in enumerate(a):
-                y = r[0]
-                if y % g:
-                    h, s, u = _xgcd(x, y)
-                    x, y = x // h, y // h
-                    a[i] = [(x * w - y * v) % modulus for v, w in zip(pt, r)]
-                    pt = [(s * v + u * w) % modulus for v, w in zip(pt, r)]
-                    x = pt[0]
-                    g = gcd(x, modulus)
-                    inv = pow(x // g, -1, modulus // g)
-                elif y:
-                    q = y // g * inv % modulus
-                    a[i] = [(w - q * v) % modulus for v, w in zip(pt, r)]
-            bad = next((j for j in range(1, len(pt)) if pt[j] % g), None)
-            if bad is None:
-                break
-            h, s, u = _xgcd(x, pt[bad])
-            x, y = x // h, pt[bad] // h
-            for r in [pt, *a]:
-                r[0], r[bad] = (s * r[0] + u * r[bad]) % modulus, (x * r[bad] - y * r[0]) % modulus
-        a = [r[1:] for r in a]
-        out.append(g)
-    return out
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def group_from_presentation(relations: IntegerMatrix) -> FpAbelianGroup:
     """Quotient of Z^g (g = relations.rows) by the column span L of
     `relations`.
 
-    Only the invariant factors d_1 | ... | d_r are needed, so no transforms
-    are tracked (Domich-Kannan-Trotter).  The column Hermite form of the
-    relations, the basis `column_basis` returns, has r columns, and the
-    product M of its pivots is an r x r minor of a basis of L, so
-    d_1 * ... * d_r divides M.  Hence
-    Z^g / (L + M Z^g) = Z/d_1 + ... + Z/d_r + (Z/M)^(g-r), and its diagonal
-    comes from elimination modulo M with every entry below M.  Results are
-    cached, keeping the CACHE_MAXSIZE most recently used matrices.
+    The column Hermite form of the relations, the basis `column_basis`
+    returns, has r columns, so the quotient has free rank g - r.  When every
+    pivot is 1 it is free; at r = g with one pivot p above 1 it is Z/p.
+    Otherwise only the invariant factors d_1 | ... | d_r are needed, so
+    `_diagonalize` runs on that basis with no transforms appended and its r
+    diagonal entries are normalized into the chain.  Results are cached,
+    keeping the CACHE_MAXSIZE most recently used matrices.
     """
     g = relations.rows
     h = _hermite([list(c) for c in relations.columns()])
     free = g - len(h)
-    pivots = [next(x for x in r if x) for r in h]
-    modulus = prod(pivots)
-    if modulus == 1:
+    large = [p for p in (next(x for x in r if x) for r in h) if p > 1]
+    if not large:
         return FpAbelianGroup(free, ())
-    if not free and sum(p > 1 for p in pivots) == 1:
+    if not free and len(large) == 1:
         # each relation with a unit pivot writes its generator through later
         # ones, so the generator at the one larger pivot spans the group
-        return FpAbelianGroup(0, (modulus,))
-    diag = _diagonal_mod(h, modulus)
-    # the (Z/M)^free summand is the end of the chain
-    invariants = _invariant_factors(diag + [modulus] * (g - len(diag)))
-    return FpAbelianGroup(free, invariants[:len(invariants) - free])
+        return FpAbelianGroup(0, (large[0],))
+    # h is already a row Hermite form: start from its transpose, so that the
+    # first pass does work instead of rebuilding h
+    a, _, _ = _diagonalize([list(c) for c in zip(*h)], [[]] * g, [[]] * len(h))
+    return FpAbelianGroup(free, _invariant_factors(a[i][i] for i in range(len(h))))
 
 
 def nested_lattices_equal(outer: IntegerMatrix, inner: IntegerMatrix) -> bool:
@@ -759,9 +710,9 @@ def nested_lattices_equal(outer: IntegerMatrix, inner: IntegerMatrix) -> bool:
     Precondition: inner ⊆ outer.  Then Z^n/inner maps onto Z^n/outer, and a
     finitely generated abelian group is Hopfian, so the two quotients are
     isomorphic exactly when that surjection is injective, that is, when the
-    lattices are equal.  Two cached Hermite passes without transforms decide
-    it (see "Deciding by invariants"); without the precondition the answer
-    means nothing."""
+    lattices are equal.  Two cached `group_from_presentation` calls, which
+    track no transforms, decide it (see "Deciding by invariants"); without
+    the precondition the answer means nothing."""
     return group_from_presentation(outer) == group_from_presentation(inner)
 
 

@@ -13,6 +13,7 @@ from towercalc import cli, serialize
 from towercalc.cli import main
 from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_complex, zero_complex
 from towercalc.complexes import direct_sum_map
+from towercalc.errors import IllFormedMap
 from towercalc.exactalg import PRIME_CERTIFY_BOUND
 from towercalc.fracture import PrimePartition, fracture_cospan
 from towercalc.sections import MAX_TOWER_LENGTH, CospanSection
@@ -211,7 +212,7 @@ def test_homology_of_a_4000_digit_moore_document_is_fast(capsys, tmp_path):
     assert f"value=Z/{entry}" in out
 
 
-def test_an_invariant_factor_past_the_digit_limit_renders_in_hex(capsys):
+def test_an_invariant_factor_past_the_digit_limit_renders_in_hex(capsys, tmp_path):
     # relations (9...9, 1), (1, 7...7) with 4,000-digit entries present
     # Z/(9...9 * 7...7 - 1), whose order has about 8,000 digits
     huge = str(FIXTURES / "huge_invariant.json")
@@ -225,6 +226,23 @@ def test_an_invariant_factor_past_the_digit_limit_renders_in_hex(capsys):
     assert main(["fracture", huge, "--primes-j", "2", "--primes-k", "3"]) == 2
     err = capsys.readouterr().err
     assert "partition leaves torsion factors [0x" in err
+    assert "internal error" not in err
+    # degrees one digit past the limit, in a witness and in a message
+    edge = 10 ** 4300 - 1
+    code, out = run(capsys, "layer", MOORE, "--k", str(edge))
+    assert code == 0
+    assert f"concentrated degree={hex(edge + 1)}" in out
+    source, target = tmp_path / "source.json", tmp_path / "target.json"
+    save(sphere_complex(-edge), source)
+    save(sphere_complex(edge), target)
+    code, out = run(capsys, "homcx", str(source), str(target), "--format", "machine")
+    assert code == 0
+    assert f'"degree":"{hex(2 * edge)}"' in out
+    save(sphere_complex(-edge, 33), source)
+    save(sphere_complex(edge, 32), target)
+    assert main(["homcx", str(source), str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"mapping complex degree {hex(2 * edge)} has 1056 generators" in err
     assert "internal error" not in err
 
 
@@ -405,11 +423,16 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     def broken(args):
         raise ValueError("shape mismatch 2x3 @ 2x3")
 
-    monkeypatch.setitem(cli._HANDLERS, "homology", broken)
-    assert main(["homology", MOORE]) == 3
-    err = capsys.readouterr().err
-    assert "ValueError: shape mismatch 2x3 @ 2x3" in err
-    assert "internal error" in err
+    def ill_formed(args):  # no document or flag reaches it: a defect, not bad input
+        raise IllFormedMap("matrix shape 2x3 does not match 3x2")
+
+    for handler, raised in ((broken, "ValueError: shape mismatch 2x3 @ 2x3"),
+                            (ill_formed, "IllFormedMap: matrix shape 2x3 does not match 3x2")):
+        monkeypatch.setitem(cli._HANDLERS, "homology", handler)
+        assert main(["homology", MOORE]) == 3
+        err = capsys.readouterr().err
+        assert raised in err
+        assert "internal error" in err
 
 
 def test_typed_input_errors_exit_two(capsys, tmp_path):

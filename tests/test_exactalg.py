@@ -360,6 +360,8 @@ def test_snf_beyond_the_old_wall_is_fast_and_bounded(kind, n, bits):
         assert snf.d == d
     peak = max(abs(x).bit_length() for x in snf.U.entries + snf.V.entries)
     assert peak <= n * _hadamard_bits(m)
+    # the invariants-only route agrees: three of the walls reach its general case
+    assert group_from_presentation.__wrapped__(m) == FpAbelianGroup.from_orders(n - snf.rank, snf.d)
 
 
 def test_det_bareiss_known_values():

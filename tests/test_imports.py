@@ -1,18 +1,21 @@
-"""Every name a library module imports is used there or re-exported, the
-modules where input enters never reach the trusted build path, only
-`sections` spells localization-tag text, and only `sections` and
-`serialize` decide a section's shape.
+"""Every name a library module imports is used there or re-exported, every
+library function and method is used somewhere, the modules where input
+enters never reach the trusted build path, only `sections` spells
+localization-tag text, and only `sections` and `serialize` decide a
+section's shape.
 
 A stdlib `ast` scan: an imported name counts as used when the module reads
 it anywhere (annotations included) or lists it in `__all__`.
 """
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "towercalc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "towercalc"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -35,6 +38,36 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def unreferenced_definitions() -> list[str]:
+    """Every method of a library class that is never read as an attribute,
+    and every module-level library function that is never named, anywhere
+    in `src/`, `tests/` or `bench/`.  Dunders are exempt, and so is
+    `Record._unsupported`, which the class aliases and then deletes."""
+    functions, methods = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((f"{path.stem}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                methods += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")]
+    names, attributes = set(), set()
+    for path in chain.from_iterable((ROOT / d).rglob("*.py") for d in ("src", "tests", "bench")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    unused = [where for where, name in functions if name not in names | attributes]
+    unused += [where for where, name in methods if name not in attributes]
+    return sorted(set(unused) - {"exactalg.Record._unsupported"})
+
+
+def test_every_function_and_method_is_used():
+    assert unreferenced_definitions() == []
 
 
 def trusted_references(path: Path) -> list[str]:
