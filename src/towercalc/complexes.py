@@ -50,7 +50,7 @@ existing equal record where shapes or identity decide the result, so a hit
 on a shared key compares by identity.
 
 - `homology_data`, keyed by (complex, degree), keeps CACHE_MAXSIZE entries,
-  like the Smith-form and group caches in `exactalg`.
+  like the per-matrix normal-form records in `exactalg`.
 - The constructions keep BUILD_CACHE_MAXSIZE entries each, because their
   reuse happens within one complex's battery of checks: `induced_map`,
   `degreewise_kernel` (which pullbacks share, being the kernels of their
@@ -123,7 +123,7 @@ class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differen
         for j, d in enumerate(diffs):
             if d.rows != degs[j].generators or d.cols != degs[j + 1].generators:
                 raise ValidationError(
-                    f"degree {min_deg + j + 1}",
+                    f"degree {int_text(min_deg + j + 1)}",
                     f"differential shape {d.rows}x{d.cols} does not match "
                     f"{degs[j].generators}x{degs[j + 1].generators}")
         # strip zero-generator degrees at both ends so equality is structural
@@ -146,12 +146,12 @@ class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differen
             rel = degs[j + 1].relations  # with no relation columns there is nothing to carry
             if rel.cols and not degs[j].contains_in_relations(d @ rel):
                 raise ValidationError(
-                    f"degree {self.min_deg + j + 1}",
+                    f"degree {int_text(self.min_deg + j + 1)}",
                     "differential does not carry relations into relations")
         for j in range(len(diffs) - 1):
             if not degs[j].contains_in_relations(diffs[j] @ diffs[j + 1]):
                 raise ValidationError(
-                    f"degree {self.min_deg + j + 2}", "d composed with d is nonzero")
+                    f"degree {int_text(self.min_deg + j + 2)}", "d composed with d is nonzero")
 
     # -- shape helpers
 
@@ -185,7 +185,7 @@ class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differen
     def __str__(self):
         if self.is_zero:
             return "0"
-        parts = [f"{i}:{self.pres_at(i).group()}" for i in self.span()]
+        parts = [f"{int_text(i)}:{self.pres_at(i).group()}" for i in self.span()]
         return " | ".join(parts)
 
 
@@ -232,7 +232,7 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
             tp = target.pres_at(i)
             if f.rows != tp.generators or f.cols != sp.generators:
                 raise IllFormedMap(
-                    f"component at degree {i} has shape {f.rows}x{f.cols}, "
+                    f"component at degree {int_text(i)} has shape {f.rows}x{f.cols}, "
                     f"expected {tp.generators}x{sp.generators}")
         return source, target, comps
 
@@ -240,14 +240,14 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
         """The lattice check (see "Validation")."""
         for i, sp, f in zip(self.source.span(), self.source.degrees, self.components):
             if sp.relations.cols and not self.target.pres_at(i).contains_in_relations(f @ sp.relations):
-                raise IllFormedMap(f"component at degree {i} does not respect relations")
+                raise IllFormedMap(f"component at degree {int_text(i)} does not respect relations")
         for i in self.window[1:]:
             walk_down = self.component_at(i - 1) @ self.source.diff_at(i)
             push_down = self.target.diff_at(i) @ self.component_at(i)
             if walk_down == push_down:  # commutes on the nose
                 continue
             if not self.target.pres_at(i - 1).contains_in_relations(walk_down - push_down):
-                raise IllFormedMap(f"square at degree {i} does not commute")
+                raise IllFormedMap(f"square at degree {int_text(i)} does not commute")
 
     @property
     def window(self) -> range:
@@ -354,7 +354,7 @@ class HomologyProfile:
     def __str__(self):
         if not self.entries:
             return "0"
-        return ", ".join(f"H_{d} = {g}" for d, g in self.entries)
+        return ", ".join(f"H_{int_text(d)} = {g}" for d, g in self.entries)
 
 
 def homology(x: ChainComplex) -> HomologyProfile:
@@ -494,7 +494,7 @@ def subcomplex(x: ChainComplex, lo: int, lattices):
         pushed = x.diff_at(i) if above is None else x.diff_at(i) @ above
         coords = pushed if below is None else solve_matrix(below, pushed)
         if coords is None:
-            raise IllFormedMap(f"sub-complex is not closed under d at degree {i}")
+            raise IllFormedMap(f"sub-complex is not closed under d at degree {int_text(i)}")
         diffs.append(coords)
     sub = ChainComplex._trusted(lo, tuple(pres for pres, _ in parts), tuple(diffs))
     comps = tuple(IntegerMatrix.identity(x.pres_at(i).generators) if bases[i - lo] is None
@@ -534,7 +534,7 @@ def pullback_induced_map(p1: ChainMap, p2: ChainMap, f: ChainMap, g: ChainMap) -
         stacked = f.component_at(i).vstack(g.component_at(i))
         u = solve_matrix(basis, stacked)
         if u is None:
-            raise IllFormedMap(f"legs do not land in the fiber product at degree {i}")
+            raise IllFormedMap(f"legs do not land in the fiber product at degree {int_text(i)}")
         comps.append(u)
     return ChainMap(w, pb, tuple(comps))
 
@@ -573,12 +573,12 @@ def connecting_map(j: ChainMap, q: ChainMap, i: int) -> GroupMap:
     lift_system = q.component_at(i).hstack(quo.pres_at(i).relations)
     lifted = solve_matrix(lift_system, hq.basis)
     if lifted is None:
-        raise IllFormedMap(f"quotient map is not surjective at degree {i}")
+        raise IllFormedMap(f"quotient map is not surjective at degree {int_text(i)}")
     dx = x.diff_at(i) @ lifted.take_rows(0, x.pres_at(i).generators)
     pull_system = j.component_at(i - 1).hstack(x.pres_at(i - 1).relations)
     pulled = solve_matrix(pull_system, dx)
     if pulled is None:
-        raise IllFormedMap(f"boundary does not come from the subcomplex at degree {i - 1}")
+        raise IllFormedMap(f"boundary does not come from the subcomplex at degree {int_text(i - 1)}")
     mat = pulled.take_rows(0, c.pres_at(i - 1).generators)
     return GroupMap(hq.presentation, hc.presentation, hc.coords_of(mat))
 
@@ -592,12 +592,13 @@ def les_certificate(j: ChainMap, q: ChainMap) -> Certificate:
     maps = []
     labels = []
     for i in range(hi, lo - 1, -1):
+        d, below = int_text(i), int_text(i - 1)
         maps.append(induced_map(j, i))
-        labels.append(f"H_{i}(sub) -> H_{i}(total)")
+        labels.append(f"H_{d}(sub) -> H_{d}(total)")
         maps.append(induced_map(q, i))
-        labels.append(f"H_{i}(total) -> H_{i}(quotient)")
+        labels.append(f"H_{d}(total) -> H_{d}(quotient)")
         maps.append(connecting_map(j, q, i))
-        labels.append(f"H_{i}(quotient) -> H_{i - 1}(sub)")
+        labels.append(f"H_{d}(quotient) -> H_{below}(sub)")
     checks = []
     for a, b, label in zip(maps, maps[1:], labels[1:]):
         ok, reason = is_exact_pair(a, b)

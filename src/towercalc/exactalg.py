@@ -11,8 +11,9 @@ row at a time with back-reduction (Kannan-Bachem 1979), so every entry
 above a pivot stays below that pivot.  `smith_normal_form` alternates row
 and column Hermite forms of the matrix with its transforms appended;
 `column_basis` is the nonzero part of one column Hermite form; and
-`group_from_presentation` runs the same alternation on one column Hermite
-form with empty transforms, since invariant factors need none.  The Smith
+`group_from_presentation` reads the diagonal of a Smith form already
+computed, or else runs the same alternation on one column Hermite form
+with empty transforms, since invariant factors need none.  The Smith
 transforms stay near the size of the matrix's minors: on dense 32 x 32
 matrices with entries at most 9 their largest entry measured 136 bits
 against a 158-bit Hadamard bound, where a transform-tracking elimination
@@ -20,8 +21,15 @@ without reduction reached thousands of bits at 10 x 10.
 
 Caches
 ------
-`smith_normal_form` and `group_from_presentation` keep CACHE_MAXSIZE
-entries.  The four lattice entry points `solve_matrix`, `preimage_lattice`,
+Each matrix has one normal-form record, kept for the CACHE_MAXSIZE most
+recently used matrices by `_normal_forms`: its Smith form, its column
+Hermite form and the group its columns present, each filled in when first
+asked for.  Hermite forms and Smith invariants are unique, so whichever
+route fills a field gives the same value.  A group asked for after the
+Smith form is read off its diagonal; one asked for first comes from the
+transform-free Hermite route, whose form then serves `column_basis`.
+Within the cache bound, each normal form of a matrix is computed once per
+process.  The four lattice entry points `solve_matrix`, `preimage_lattice`,
 `column_basis` and `subquotient` are memos of BUILD_CACHE_MAXSIZE entries:
 every homotopy limit downstream (tower limits, fibered products, homotopy
 fibers) comes down to subquotients, and one complex's battery of checks asks
@@ -444,7 +452,24 @@ class SnfDecomposition:
         return sum(1 for x in self.d if x)
 
 
+class _NormalForms:
+    """What is known of one matrix, filled in as the readers ask: its Smith
+    form `snf`, its column Hermite form `hermite` (a tuple of row tuples, so
+    no reader can change it) and the group its columns present."""
+
+    __slots__ = ("snf", "hermite", "group")
+
+    def __init__(self):
+        self.snf = self.hermite = self.group = None
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
+def _normal_forms(m: IntegerMatrix) -> _NormalForms:
+    """The record of `m`, kept for the CACHE_MAXSIZE most recently used
+    matrices."""
+    return _NormalForms()
+
+
 def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
     """Diagonalize over Z, tracking the unimodular row/column transforms.
 
@@ -453,9 +478,18 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
     Z/a + Z/b = Z/gcd + Z/lcm turn the diagonal into a divisibility chain.
     Each Hermite form keeps every entry above a pivot below that pivot, so
     U and V stay near the Hadamard bound of m instead of growing with every
-    elimination step (tests pin n times its bit-length).  Results are
-    cached, keeping the CACHE_MAXSIZE most recently used matrices.
+    elimination step (tests pin n times its bit-length).  The result is
+    kept in the matrix's normal-form record (see "Caches"), where
+    `group_from_presentation` reads its diagonal.
     """
+    forms = _normal_forms(m)
+    if forms.snf is None:
+        forms.snf = _smith_form(m)
+    return forms.snf
+
+
+def _smith_form(m: IntegerMatrix) -> SnfDecomposition:
+    """The uncached core of `smith_normal_form`."""
     nr, nc, e = m.rows, m.cols, m.entries
     u0, vt0 = _identity_rows(nr), _identity_rows(nc)
     a, u, vt = _diagonalize([list(e[i * nc:(i + 1) * nc]) for i in range(nr)], u0, vt0)
@@ -513,13 +547,27 @@ def solve_matrix(m: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     return snf.V @ IntegerMatrix(m.cols, k, tuple(y))
 
 
+def _column_hermite(m: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
+    """The column Hermite form of m: `_hermite` of its columns, whose rows
+    are the basis columns of its column lattice."""
+    return tuple(map(tuple, _hermite([list(c) for c in m.columns()])))
+
+
+def _hermite_of(forms: _NormalForms, m: IntegerMatrix):
+    if forms.hermite is None:
+        forms.hermite = _column_hermite(m)
+    return forms.hermite
+
+
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def column_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis (as columns) of the column lattice of m: the nonzero columns of
-    its column Hermite form."""
+    its column Hermite form, read from the matrix's normal-form record, so
+    that it is computed once with `group_from_presentation`."""
     if m.rows == m.cols and m is IntegerMatrix.identity(m.rows):
         return m
-    return IntegerMatrix.from_cols(_hermite([list(c) for c in m.columns()]), rows=m.rows)
+    h = _hermite_of(_normal_forms(m), m)
+    return IntegerMatrix(m.rows, len(h), tuple(chain.from_iterable(zip(*h))))
 
 
 def lattice_contains(gens: IntegerMatrix, vectors: IntegerMatrix) -> bool:
@@ -674,21 +722,41 @@ class FpAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def group_from_presentation(relations: IntegerMatrix) -> FpAbelianGroup:
     """Quotient of Z^g (g = relations.rows) by the column span L of
     `relations`.
 
-    The column Hermite form of the relations, the basis `column_basis`
-    returns, has r columns, so the quotient has free rank g - r.  When every
-    pivot is 1 it is free; at r = g with one pivot p above 1 it is Z/p.
-    Otherwise only the invariant factors d_1 | ... | d_r are needed, so
-    `_diagonalize` runs on that basis with no transforms appended and its r
-    diagonal entries are normalized into the chain.  Results are cached,
-    keeping the CACHE_MAXSIZE most recently used matrices.
+    The answer is kept in the matrix's normal-form record (see "Caches").
+    When that record already holds a Smith form, the group is read off its
+    diagonal (`_group_from_snf`) and no Hermite form is computed.  Otherwise
+    it comes from the column Hermite form (`_group_from_hermite`), which
+    tracks no transforms and is left in the record for `column_basis`.
     """
-    g = relations.rows
-    h = _hermite([list(c) for c in relations.columns()])
+    forms = _normal_forms(relations)
+    if forms.group is None:
+        if forms.snf is not None:
+            forms.group = _group_from_snf(relations, forms.snf)
+        else:
+            forms.group = _group_from_hermite(relations.rows, _hermite_of(forms, relations))
+    return forms.group
+
+
+def _group_from_snf(relations: IntegerMatrix, snf: SnfDecomposition) -> FpAbelianGroup:
+    """The group presented by `relations`, from its Smith form: free rank
+    rows - rank, torsion the invariant factors above 1 (already a chain)."""
+    return FpAbelianGroup(relations.rows - snf.rank, tuple(x for x in snf.d if x > 1))
+
+
+def _group_from_hermite(g: int, h) -> FpAbelianGroup:
+    """The quotient of Z^g by the column lattice whose column Hermite form
+    (see `_column_hermite`) is h, with transforms tracked nowhere.
+
+    h has r rows, so the quotient has free rank g - r.  When every pivot is
+    1 it is free; at r = g with one pivot p above 1 it is Z/p.  Otherwise
+    only the invariant factors d_1 | ... | d_r are needed, so `_diagonalize`
+    runs on h with no transforms appended and its r diagonal entries are
+    normalized into the chain.
+    """
     free = g - len(h)
     large = [p for p in (next(x for x in r if x) for r in h) if p > 1]
     if not large:

@@ -368,8 +368,8 @@ def postnikov_tower(x: ChainComplex, m: int) -> TowerSection:
     clear the top degree so the prefix reaches the stable range, be at
     least 0 so the tower has a level, and be at most MAX_TOWER_LENGTH."""
     if m < max(x.top_deg, 0):
-        raise InputError(f"length {m} does not reach the top degree {x.top_deg} "
-                         "or level 0")
+        raise InputError(f"length {int_text(m)} does not reach the top degree "
+                         f"{int_text(x.top_deg)} or level 0")
     if m > MAX_TOWER_LENGTH:
         raise InputError(f"length {int_text(m)} (top degree {int_text(x.top_deg)}) is over "
                          f"the bound of {MAX_TOWER_LENGTH} structure maps")

@@ -18,8 +18,11 @@ nested lattices from invariant factors (see "Deciding by invariants" in
 each such decision is also made by the reference route of `helpers` (kernel
 presentations and lattice solves; for a quasi-isomorphism f, whether
 H(Cone f) = 0), and any disagreement raises CharacterizationMismatch.  A
-test marked `single_route` decides by the library's route alone, as tests
-that count lattice work must.
+group that `group_from_presentation` reads off a cached Smith form is also
+computed by the transform-free Hermite route (`transform_free_group`), so
+the two normal forms check each other.  A test marked `single_route`
+decides by the library's route alone, as tests that count lattice work
+must.
 """
 import importlib
 import pkgutil
@@ -34,6 +37,7 @@ from helpers import (
     iso_by_kernel,
     lattice_eq,
     quasi_iso_by_cone,
+    transform_free_group,
 )
 from towercalc import complexes, exactalg
 from towercalc.errors import CharacterizationMismatch
@@ -85,15 +89,17 @@ def _both_routes(name, route, reference, verdict=None):
 
 def check_both_routes(monkeypatch):
     """Decide `is_iso`, `is_injective`, `is_exact_pair`,
-    `nested_lattices_equal` and `is_quasi_iso` both ways, in every towercalc
-    namespace that holds the library's function."""
+    `nested_lattices_equal` and `is_quasi_iso` both ways, and take each group
+    derived from a Smith form both ways too, in every towercalc namespace
+    that holds the library's function."""
     for attr, reference in (("is_iso", iso_by_kernel), ("is_injective", injective_by_kernel)):
         monkeypatch.setattr(GroupMap, attr,
                             _both_routes(attr, getattr(GroupMap, attr), reference))
     for home, attr, reference, verdict in (
             (exactalg, "is_exact_pair", exact_pair_by_containment, None),
             (exactalg, "nested_lattices_equal", lattice_eq, None),
-            (complexes, "is_quasi_iso", quasi_iso_by_cone, lambda cert: cert.passed)):
+            (complexes, "is_quasi_iso", quasi_iso_by_cone, lambda cert: cert.passed),
+            (exactalg, "_group_from_snf", lambda rel, _snf: transform_free_group(rel), None)):
         route = getattr(home, attr)
         checked = _both_routes(attr, route, reference, verdict)
         for key, mod in list(sys.modules.items()):

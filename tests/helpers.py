@@ -21,6 +21,8 @@ from towercalc.exactalg import (
     IntegerMatrix,
     Presentation,
     SnfDecomposition,
+    _column_hermite,
+    _group_from_hermite,
     column_basis,
     lattice_contains,
     preimage_lattice,
@@ -95,6 +97,13 @@ def exact_pair_by_containment(f: GroupMap, g: GroupMap):
     if not lattice_contains(im, ker):
         return False, "kernel not contained in image"
     return True, ""
+
+
+def transform_free_group(relations: IntegerMatrix) -> FpAbelianGroup:
+    """`group_from_presentation` by its transform-free route alone, uncached:
+    the column Hermite form of the relations, then its diagonal, never a
+    Smith form."""
+    return _group_from_hermite(relations.rows, _column_hermite(relations))
 
 
 def quasi_iso_by_cone(f: ChainMap) -> bool:

@@ -246,6 +246,32 @@ def test_an_invariant_factor_past_the_digit_limit_renders_in_hex(capsys, tmp_pat
     assert "internal error" not in err
 
 
+# checked builds would walk every degree from the zero complex's 0 up to the
+# document's, so the chain maps here are built as the library builds them
+@pytest.mark.trusted_builds
+def test_a_homology_profile_past_the_digit_limit_renders_in_hex(capsys, tmp_path):
+    edge = 10 ** 4300 - 1
+    path = tmp_path / "far.json"
+    save(direct_sum(moore_complex(6, edge), sphere_complex(edge + 2)), path)
+    code, out = run(capsys, "hofib", str(path), "--k", str(edge), "--format", "machine")
+    assert code == 0
+    assert f'"value":"H_{hex(edge + 2)} = Z"' in out
+
+
+def test_a_degree_past_the_digit_limit_in_a_broken_document_renders_in_hex(capsys, tmp_path):
+    # invalid_d2.json moved up: d composed with d is nonzero at min_degree + 2,
+    # one digit past the int-to-str limit
+    edge = 10 ** 4300 - 1
+    doc = json.loads((FIXTURES / "invalid_d2.json").read_text())
+    doc["min_degree"] = edge
+    path = tmp_path / "huge_degree.json"
+    path.write_text(serialize.document_text(doc))
+    assert main(["homology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"degree {hex(edge + 2)}: d composed with d is nonzero" in err
+    assert "internal error" not in err
+
+
 def test_primes_past_the_certified_bound_exit_two(capsys, tmp_path):
     too_big = str(PRIME_CERTIFY_BOUND + 2)
     assert main(["fracture", MOORE, "--primes-j", "2,3", "--primes-k", too_big]) == 2

@@ -136,6 +136,28 @@ def test_relation_breaking_chain_map_is_rejected():
     ChainMap(z2, z2, (IntegerMatrix.from_rows([[3]]),))
 
 
+def test_rejections_at_huge_degrees_write_the_degree_in_hex():
+    # one digit past the int-to-str limit: str() of these degrees raises
+    n = 10 ** 4300
+    free = Presentation.free(1)
+    z2 = Presentation(1, IntegerMatrix.from_rows([[2]]))
+    z3 = Presentation(1, IntegerMatrix.from_rows([[3]]))
+    with pytest.raises(ValidationError, match=f"degree {hex(n + 1)}: differential shape"):
+        ChainComplex(n, (free, free), (IntegerMatrix.zero(2, 1),))
+    with pytest.raises(ValidationError, match=f"degree {hex(n + 1)}: differential does not"):
+        ChainComplex(n, (z3, z2), (IntegerMatrix.from_rows([[1]]),))
+    with pytest.raises(ValidationError, match=f"degree {hex(n + 2)}: d composed with d"):
+        ChainComplex(n, (free, free, free), (IntegerMatrix.identity(1),) * 2)
+    torsion = ChainComplex(n, (z2,), ())
+    with pytest.raises(IllFormedMap, match=f"component at degree {hex(n)} has shape"):
+        ChainMap(torsion, torsion, (IntegerMatrix.zero(2, 1),))
+    with pytest.raises(IllFormedMap, match=f"component at degree {hex(n)} does not respect"):
+        ChainMap(torsion, sphere_complex(n), (IntegerMatrix.identity(1),))
+    with pytest.raises(IllFormedMap, match=f"square at degree {hex(n)} does not commute"):
+        ChainMap(disk_complex(n), sphere_complex(n - 1),
+                 (IntegerMatrix.identity(1), IntegerMatrix.zero(0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # homology
 
@@ -166,7 +188,7 @@ def test_homology_of_elementary_sums(pieces):
 
 def test_normal_form_caches_are_bounded():
     caches = all_caches()
-    assert {"towercalc.exactalg.smith_normal_form", "towercalc.complexes.homology_data",
+    assert {"towercalc.exactalg._normal_forms", "towercalc.complexes.homology_data",
             "towercalc.trunc.postnikov_section", "towercalc.exactalg.IntegerMatrix.zero",
             "towercalc.exactalg.Presentation.free", "towercalc.exactalg.solve_matrix",
             "towercalc.exactalg.preimage_lattice", "towercalc.exactalg.column_basis",

@@ -23,13 +23,17 @@ from helpers import (
     iso_by_kernel,
     lattice_eq,
     tensor_group,
+    transform_free_group,
 )
+from towercalc import exactalg
 from towercalc.errors import IllFormedMap
 from towercalc.exactalg import (
     FpAbelianGroup,
     GroupMap,
     IntegerMatrix,
     Presentation,
+    _column_hermite,
+    _smith_form,
     block_diag,
     column_basis,
     ext_group,
@@ -295,7 +299,7 @@ def test_snf_against_sympy_and_bareiss(rows):
     from sympy.polys.domains import ZZ
 
     m = IntegerMatrix.from_rows(rows)
-    snf = smith_normal_form.__wrapped__(m)
+    snf = _smith_form(m)
     assert snf.U @ m @ snf.V == diagonal_matrix(snf, m.rows, m.cols)
     assert abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
     nonzero = [d for d in snf.d if d]
@@ -308,7 +312,7 @@ def test_snf_against_sympy_and_bareiss(rows):
     diagonal = sympy_snf(Matrix(rows), domain=ZZ)
     theirs = sorted(abs(int(diagonal[i, i])) for i in range(min(m.rows, m.cols)))
     assert sorted(nonzero) == [d for d in theirs if d]
-    assert group_from_presentation.__wrapped__(m.transpose()) == FpAbelianGroup.from_orders(
+    assert transform_free_group(m.transpose()) == FpAbelianGroup.from_orders(
         m.cols - len(nonzero), nonzero)
 
 
@@ -353,7 +357,7 @@ def test_snf_beyond_the_old_wall_is_fast_and_bounded(kind, n, bits):
         m, d = _scrambled(rng, n, bits)
     assert max(abs(x) for x in m.entries).bit_length() == bits
     started = time.perf_counter()
-    snf = smith_normal_form.__wrapped__(m)
+    snf = _smith_form(m)
     assert time.perf_counter() - started < 1.0
     assert snf.U @ m @ snf.V == diagonal_matrix(snf, n, n)
     if d is not None:
@@ -361,7 +365,7 @@ def test_snf_beyond_the_old_wall_is_fast_and_bounded(kind, n, bits):
     peak = max(abs(x).bit_length() for x in snf.U.entries + snf.V.entries)
     assert peak <= n * _hadamard_bits(m)
     # the invariants-only route agrees: three of the walls reach its general case
-    assert group_from_presentation.__wrapped__(m) == FpAbelianGroup.from_orders(n - snf.rank, snf.d)
+    assert transform_free_group(m) == FpAbelianGroup.from_orders(n - snf.rank, snf.d)
 
 
 def test_det_bareiss_known_values():
@@ -548,6 +552,57 @@ def test_group_from_presentation_matches_minor_oracle(rows):
     invs = determinantal_invariants(rows)
     expected = FpAbelianGroup.from_orders(cols - len(invs), invs)
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# one normal-form record per matrix: each form is computed once and shared
+
+# U @ SHARED @ V = diag(2, 6, 12), so the group reaches the general branch
+SHARED = IntegerMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+
+
+def _count_hermite(monkeypatch):
+    calls = []
+    hermite = exactalg._hermite
+
+    def counted(rows):
+        calls.append(len(rows))
+        return hermite(rows)
+
+    monkeypatch.setattr(exactalg, "_hermite", counted)
+    return calls
+
+
+@pytest.mark.single_route
+def test_a_group_after_its_smith_form_runs_no_hermite_pass(monkeypatch):
+    assert smith_normal_form(SHARED).d == (2, 6, 12)
+    calls = _count_hermite(monkeypatch)
+    assert group_from_presentation(SHARED) == FpAbelianGroup(0, (2, 6, 12))
+    assert calls == []
+
+
+@pytest.mark.single_route
+def test_a_column_basis_after_the_group_runs_no_hermite_pass(monkeypatch):
+    assert group_from_presentation(SHARED) == FpAbelianGroup(0, (2, 6, 12))
+    calls = _count_hermite(monkeypatch)
+    basis = column_basis(SHARED)
+    assert calls == []
+    assert basis == IntegerMatrix.from_cols(_column_hermite(SHARED), rows=3)
+    assert lattice_eq(basis, SHARED)
+
+
+@given(wide_entry_matrices(), st.permutations(("snf", "group", "basis")))
+@settings(max_examples=40, deadline=None)
+def test_every_order_of_asking_matches_the_uncached_cores(rows, order):
+    m = IntegerMatrix.from_rows(rows)
+    exactalg._normal_forms.cache_clear()
+    column_basis.cache_clear()
+    readers = {"snf": smith_normal_form, "group": group_from_presentation,
+               "basis": column_basis}
+    got = {name: readers[name](m) for name in order}
+    assert got["snf"] == _smith_form(m)
+    assert got["group"] == transform_free_group(m)
+    assert got["basis"] == IntegerMatrix.from_cols(_column_hermite(m), rows=m.rows)
 
 
 # ---------------------------------------------------------------------------

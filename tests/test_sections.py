@@ -336,6 +336,10 @@ def test_moore_tower_homology_per_level():
 def test_tower_length_must_reach_the_top_degree():
     with pytest.raises(ValueError):
         postnikov_tower(sphere_complex(3), 1)
+    # a top degree past the int-to-str digit limit is written in hex
+    top = 10 ** 4300
+    with pytest.raises(InputError, match=f"top degree {hex(top)} or level 0"):
+        postnikov_tower(sphere_complex(top), 0)
 
 
 def test_tower_length_below_level_zero_is_an_input_error():
