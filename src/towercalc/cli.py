@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from . import serialize
 from .certificates import Certificate, bundle, failed, passed
-from .complexes import ChainComplex, hom_complex, homology_group
+from .complexes import ChainComplex, hom_complex, homology_group, support
 from .errors import InputError, NotCofibrant, ParseError, PartitionTooSmall, ValidationError
 from .exactalg import BUILD_CACHE_MAXSIZE
 from .fracture import PrimePartition, arithmetic_square_check, cospan_model_check
@@ -140,15 +140,12 @@ def _cmd_truncate(args):
 def _cmd_cover(args):
     x, inputs = _load(args.file, "complex")
     c, _ = connective_cover(x, args.k)
-    low = [passed("cover_vanishes", degree=i) if homology_group(c, i).is_zero
-           else failed("cover_vanishes", degree=i, value=str(homology_group(c, i)))
-           for i in c.span() if i <= args.k]
-    high = [passed("cover_matches", degree=i, value=str(homology_group(c, i)))
-            if homology_group(c, i) == homology_group(x, i)
-            else failed("cover_matches", degree=i, cover=str(homology_group(c, i)),
-                        total=str(homology_group(x, i)))
-            for i in sorted(set(c.span()) | set(x.span())) if i > args.k]
-    return inputs, [bundle("connective_cover", low + high, cut=args.k)]
+    matches = [passed("cover_matches", degree=i, value=str(homology_group(c, i)))
+               if homology_group(c, i) == homology_group(x, i)
+               else failed("cover_matches", degree=i, cover=str(homology_group(c, i)),
+                           total=str(homology_group(x, i)))
+               for i in support(c, x) if i > args.k]
+    return inputs, [bundle("connective_cover", matches, cut=args.k)]
 
 
 def _cmd_layer(args):

@@ -1,9 +1,9 @@
 """Bounded chain complexes of finitely presented abelian groups.
 
 Degrees are homological: the differential lowers degree by one.  A complex
-stores a contiguous window of presentations starting at ``min_deg`` together
-with the differentials inside that window; degrees outside the window are
-zero.
+stores a contiguous window of presentations starting at ``min_deg`` with the
+differentials inside it; degrees outside are zero.  Checks walk the degrees of
+`support`, the union of windows, so distance from degree 0 costs nothing.
 
 Validation
 ----------
@@ -126,18 +126,12 @@ class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differen
                     f"degree {int_text(min_deg + j + 1)}",
                     f"differential shape {d.rows}x{d.cols} does not match "
                     f"{degs[j].generators}x{degs[j + 1].generators}")
-        # strip zero-generator degrees at both ends so equality is structural
-        mn = min_deg
-        while degs and degs[0].generators == 0:
-            mn += 1
-            degs = degs[1:]
-            diffs = diffs[1:] if diffs else ()
-        while degs and degs[-1].generators == 0:
-            degs = degs[:-1]
-            diffs = diffs[:-1] if diffs else ()
-        if not degs:
-            mn = 0
-        return mn, degs, diffs
+        # strip zero-generator degrees at both ends in one slice, so equality is structural
+        kept = [j for j, p in enumerate(degs) if p.generators]
+        if not kept:
+            return 0, (), ()
+        lo, hi = kept[0], kept[-1] + 1
+        return min_deg + lo, degs[lo:hi], diffs[lo:hi - 1]
 
     def __init__(self, *fields):
         """The lattice check (see "Validation")."""
@@ -189,6 +183,19 @@ class ChainComplex(Trusted, namedtuple("ChainComplex", "min_deg degrees differen
         return " | ".join(parts)
 
 
+def support(*complexes: ChainComplex):
+    """The ascending degrees in the window of some of the complexes (the zero
+    complex has none): one range if the windows overlap or touch, else a
+    tuple that skips each gap, so a walk costs nothing where all are zero."""
+    runs = []
+    for span in sorted((x.span() for x in complexes if not x.is_zero), key=lambda r: r.start):
+        if runs and span.start <= runs[-1].stop:
+            runs[-1] = range(runs[-1].start, max(runs[-1].stop, span.stop))
+        else:
+            runs.append(span)
+    return runs[0] if len(runs) == 1 else tuple(i for run in runs for i in run)
+
+
 def zero_complex() -> ChainComplex:
     return ChainComplex(0, (), ())
 
@@ -219,7 +226,8 @@ def moore_complex(t: int, n: int = 0) -> ChainComplex:
 class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
     """Degreewise map of complexes; components are stored over the source's
     window (outside it every component is forced zero).  Construction checks
-    degreewise well-definedness and commutation with the differentials."""
+    degreewise well-definedness and commutation with the differentials over
+    the source's window: elsewhere both sides of a square start at zero."""
 
     __slots__ = ()
 
@@ -241,21 +249,13 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
         for i, sp, f in zip(self.source.span(), self.source.degrees, self.components):
             if sp.relations.cols and not self.target.pres_at(i).contains_in_relations(f @ sp.relations):
                 raise IllFormedMap(f"component at degree {int_text(i)} does not respect relations")
-        for i in self.window[1:]:
+        for i in self.source.span():
             walk_down = self.component_at(i - 1) @ self.source.diff_at(i)
             push_down = self.target.diff_at(i) @ self.component_at(i)
             if walk_down == push_down:  # commutes on the nose
                 continue
             if not self.target.pres_at(i - 1).contains_in_relations(walk_down - push_down):
                 raise IllFormedMap(f"square at degree {int_text(i)} does not commute")
-
-    @property
-    def window(self) -> range:
-        """The degrees where source or target is nonzero: from the lower
-        min_deg to the higher top_deg (empty for two zero complexes)."""
-        source, target = self.source, self.target
-        return range(min(source.min_deg, target.min_deg),
-                     max(source.top_deg, target.top_deg) + 1)
 
     def component_at(self, i: int) -> IntegerMatrix:
         if 0 <= (j := i - self.source.min_deg) < len(self.components):
@@ -373,7 +373,7 @@ def induced_map(f: ChainMap, i: int) -> GroupMap:
 def is_quasi_iso(f: ChainMap) -> Certificate:
     """Pass iff homology of f is an isomorphism in every degree; the witness
     carries the least failing degree."""
-    for i in f.window:
+    for i in support(f.source, f.target):
         if not induced_map(f, i).is_iso():
             return failed("quasi_iso", degree=i,
                           source=str(homology_group(f.source, i)),
@@ -424,6 +424,8 @@ def cotuple(f: ChainMap, g: ChainMap) -> ChainMap:
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone(f)_n = X_{n-1} + Y_n, d(x, y) = (-dx, dy - fx): d_n = [[-d_X, 0], [-f, d_Y]]."""
     x, y = f.source, f.target
+    if x.is_zero or y.is_zero:  # no window to lay out between the two sides
+        return y if x.is_zero else shift(x, 1)
     lo = min(x.min_deg + 1, y.min_deg)
     hi = max(x.top_deg + 1, y.top_deg)
     degs = tuple(x.pres_at(n - 1).direct_sum(y.pres_at(n)) for n in range(lo, hi + 1))
@@ -585,13 +587,10 @@ def connecting_map(j: ChainMap, q: ChainMap, i: int) -> GroupMap:
 
 def les_certificate(j: ChainMap, q: ChainMap) -> Certificate:
     """Exactness of the homology long exact sequence of 0 -> C -> X -> Q -> 0
-    at every spot across the whole degree window."""
-    c, x, quo = j.source, j.target, q.target
-    lo = min(c.min_deg, x.min_deg, quo.min_deg)
-    hi = max(c.top_deg, x.top_deg, quo.top_deg) + 1
-    maps = []
-    labels = []
-    for i in range(hi, lo - 1, -1):
+    at every spot from one above the three complexes' support down to its bottom."""
+    degrees = support(j.source, j.target, q.target)
+    maps, labels = [], []
+    for i in range(degrees[-1] + 1, degrees[0] - 1, -1) if degrees else ():
         d, below = int_text(i), int_text(i - 1)
         maps.append(induced_map(j, i))
         labels.append(f"H_{d}(sub) -> H_{d}(total)")

@@ -264,32 +264,6 @@ class IntegerMatrix(Record, namedtuple("IntegerMatrix", "rows cols entries")):
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __str__(self):
         return "[" + "; ".join(" ".join(map(int_text, self.row(i))) for i in range(self.rows)) + "]"
 

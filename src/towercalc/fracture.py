@@ -39,6 +39,7 @@ from .complexes import (
     induced_map,
     moore_complex,
     sphere_complex,
+    support,
     zero_complex,
 )
 from .errors import InputError, PartitionTooSmall
@@ -218,7 +219,7 @@ def cospan_model_check(s: CospanSection) -> Certificate:
 
     for name, leg in (("left", s.left), ("right", s.right)):
         witness = None
-        for d in sorted(set(leg.source.span()) | set(leg.target.span())):
+        for d in support(leg.source, leg.target):
             ker, _, coker = kernel_image_cokernel(induced_map(leg, d))
             if ker.rank or coker.rank:
                 witness = (d, str(ker), str(coker))

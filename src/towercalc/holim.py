@@ -27,6 +27,7 @@ from .complexes import (
     induced_map,
     is_quasi_iso,
     sphere_complex,
+    support,
 )
 from .errors import NotCofibrant
 from .exactalg import (
@@ -187,12 +188,11 @@ def uct_ladder(m: ChainComplex, n: ChainComplex, cut: int) -> LadderReport:
     hn = homology(n)
     hsec = homology(section)
 
-    degrees = set(hom_full.span()) | set(hom_cut.span()) | {cut}
     rungs = []
     split_checks = []
     vanish_checks = []
     agree_checks = []
-    for i in sorted(degrees):
+    for i in sorted({cut, *support(hom_full, hom_cut)}):
         rung = LadderRung(
             degree=i,
             ext_corner=_corner(hm, hn, i, 1, ext_group),

@@ -33,6 +33,7 @@ from .complexes import (
     degreewise_pullback,
     is_quasi_iso,
     pullback_induced_map,
+    support,
     zero_complex,
 )
 from .errors import CharacterizationMismatch, IllFormedMap, InputError
@@ -237,7 +238,7 @@ def classify_injective(phi: SectionMorphism) -> Certificate:
     cofib: Certificate = passed("componentwise_cofibration")
     for lvl, f in enumerate(phi.components):
         bad = None
-        for i in f.window:
+        for i in support(f.source, f.target):
             gm = _degree_map(f, i)
             if not gm.is_injective():
                 bad = (i, "component is not injective")

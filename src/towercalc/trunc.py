@@ -25,6 +25,7 @@ from .complexes import (
     is_quasi_iso,
     les_certificate,
     subcomplex,
+    support,
     zero_complex,
 )
 from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, preimage_lattice
@@ -58,10 +59,11 @@ def is_n_type(x: ChainComplex, n: int) -> Certificate:
 
 
 def is_Pn_weq(f: ChainMap, n: int) -> Certificate:
-    """Pass iff H_i(f) is an isomorphism for every i <= n.  Above both top
-    degrees both sides are zero, so the walk stops there however large n is."""
-    window = f.window
-    for i in range(window.start, min(n + 1, window.stop)):
+    """Pass iff H_i(f) is an isomorphism for every i <= n.  The walk visits only
+    the degrees where source or target is nonzero and stops past n, however large."""
+    for i in support(f.source, f.target):
+        if i > n:
+            break
         if not induced_map(f, i).is_iso():
             return failed("truncated_weq", level=n, degree=i,
                           source=str(homology_group(f.source, i)),

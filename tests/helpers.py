@@ -47,6 +47,33 @@ def diagonal_matrix(snf: SnfDecomposition, rows: int, cols: int) -> IntegerMatri
     return IntegerMatrix.from_rows(out) if rows else IntegerMatrix.zero(0, cols)
 
 
+def det(m: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def localize_homology(x: ChainComplex, primes: frozenset[int]) -> dict[int, FpAbelianGroup]:
     """Localized homology in every degree of the span."""
     return {i: localize_group(homology_group(x, i), primes) for i in x.span()}

@@ -338,6 +338,67 @@ def test_a_mapping_complex_past_the_size_bound_exits_two_at_once(capsys, tmp_pat
         capsys.readouterr()
 
 
+FAR = 10**12
+
+
+def far_documents(tmp_path) -> dict[str, str]:
+    """Documents whose nonzero degrees sit 10^12 away from degree 0 or from
+    each other: Z --2--> Z at +-10^12, two towers of a complex at 10^12 over
+    the zero complex or over Z at -10^12, and cospans with legs from +-10^12
+    into Z at 0 under a `ptype:0` middle tag and under local/rational tags."""
+    def free(n):
+        return {"name": "z", "min_degree": n, "differentials": [],
+                "degrees": [{"generators": 1, "relations": []}]}
+    moore = {"name": "m", "min_degree": FAR, "differentials": [[["2"]]],
+             "degrees": [{"generators": 1, "relations": []}] * 2}
+    zero = {"name": "zero", "min_degree": 0, "degrees": [], "differentials": []}
+    legs = {"x1": free(FAR), "x0": free(0), "x2": free(-FAR), "left": [[]], "right": [[]]}
+    docs = {"far": moore, "negative": {**moore, "min_degree": -FAR},
+            "tower": {"levels": [zero, free(FAR)], "maps": [[[]]]},
+            "tower_far": {"levels": [free(-FAR), free(FAR)], "maps": [[[]]]},
+            "cospan_ptype": {**legs, "tags": ["plain", "ptype:0", "plain"]},
+            "cospan_local": {**legs, "tags": ["local:2", "rational", "local:3"]}}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+def test_far_degree_documents_answer_at_once(capsys, tmp_path):
+    """Every walk over degrees visits only the degrees where some complex is
+    nonzero, so no command walks the 10^12 zero degrees between a document's
+    complexes and degree 0 (or each other)."""
+    d = far_documents(tmp_path)
+    probes = [
+        ["homology", d["far"]],
+        ["truncate", d["far"], "--n", str(FAR - 1)],
+        ["truncate", d["far"], "--n", str(FAR)],
+        ["cover", d["far"], "--k", "0"],
+        ["cover", d["far"], "--k", str(FAR)],
+        ["layer", d["far"], "--k", str(FAR - 1)],
+        ["homcx", d["far"], d["negative"]],
+        ["uct", d["far"], d["negative"], "--n", "0"],
+        ["hypercomplete", d["far"]],
+        ["hypercomplete", d["negative"]],
+        ["fracture", d["far"], "--primes-j", "2", "--primes-k", "3"],
+        ["hofib", d["far"], "--k", str(FAR)],
+        ["hofib", d["negative"], "--k", "0"],
+        ["tower", d["tower"]],
+        ["tower", d["tower_far"]],
+        ["milnor", d["tower"]],
+        ["section", "check-tower", d["tower"]],
+        ["section", "check-cospan", d["cospan_ptype"]],
+        ["section", "check-cospan", d["cospan_local"]],
+    ]
+    for argv in probes:
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code in (0, 1, 2), (argv, capsys.readouterr().err)
+        capsys.readouterr()
+
+
 def test_verdict_and_exit_code_agree(capsys):
     for argv in (["homology", MOORE],
                  ["milnor", TOWER],

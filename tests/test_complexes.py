@@ -36,6 +36,7 @@ from towercalc.complexes import (
     moore_complex,
     shift,
     sphere_complex,
+    support,
     zero_complex,
 )
 from towercalc.errors import IllFormedMap, InputError, NotCofibrant, ValidationError
@@ -127,6 +128,9 @@ def test_chain_map_commutation_is_enforced():
         # disk -> sphere(0) "collapse" does not commute with d
         ChainMap(disk_complex(1), sphere_complex(0),
                  (IntegerMatrix.identity(1), IntegerMatrix.zero(0, 1)))
+    # the square at the source's lowest degree, where only the target goes on below
+    with pytest.raises(IllFormedMap, match="square at degree 1"):
+        ChainMap(sphere_complex(1), disk_complex(1), (IntegerMatrix.identity(1),))
 
 
 def test_relation_breaking_chain_map_is_rejected():
@@ -275,6 +279,29 @@ def test_cone_detects_non_quasi_iso():
     # H(cone) = Z in degree 1: the kernel 2Z of Z -> Z/2, shifted up
     assert homology(cone) == HomologyProfile.of([(1, FpAbelianGroup.free(1))])
     assert not is_quasi_iso(f).passed
+
+
+def test_a_cone_with_a_zero_side_is_the_other_side():
+    """Cone(0 -> Y) is Y itself and Cone(X -> 0) is X shifted up by one, with
+    no window laid out between the two sides, however far apart they are."""
+    far = sphere_complex(10**12)
+    assert mapping_cone(ChainMap.zero_map(zero_complex(), far)) is far
+    cone = mapping_cone(ChainMap.zero_map(moore_complex(3, 10**12), zero_complex()))
+    assert cone == ChainComplex(10**12 + 1, (Presentation.free(1),) * 2,
+                                (IntegerMatrix.from_rows([[-3]]),))
+    # checked both ways: a map between complexes 10^12 apart commutes at once
+    assert is_quasi_iso(ChainMap(sphere_complex(-10**12), sphere_complex(10**12),
+                                 (IntegerMatrix.zero(0, 1),))).witness["degree"] == -10**12
+
+
+def test_support_skips_the_degrees_where_every_complex_is_zero():
+    assert support() == support(zero_complex()) == ()
+    # windows that overlap or touch give one range
+    assert support(moore_complex(2, 3), zero_complex(), sphere_complex(5)) == range(3, 6)
+    assert support(disk_complex(5), sphere_complex(4)) == range(4, 6)
+    # a gap is skipped, however wide
+    assert support(sphere_complex(7), disk_complex(5)) == (4, 5, 7)
+    assert support(sphere_complex(10**12), sphere_complex(-10**12)) == (-10**12, 10**12)
 
 
 # ---------------------------------------------------------------------------

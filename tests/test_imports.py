@@ -1,8 +1,8 @@
 """Every name a library module imports is used there or re-exported, every
 library function and method is used somewhere, the modules where input
 enters never reach the trusted build path, only `sections` spells
-localization-tag text, and only `sections` and `serialize` decide a
-section's shape.
+localization-tag text, only `sections` and `serialize` decide a
+section's shape, and only `complexes` decides which degrees a walk visits.
 
 A stdlib `ast` scan: an imported name counts as used when the module reads
 it anywhere (annotations included) or lists it in `__all__`.
@@ -131,3 +131,42 @@ def test_only_sections_and_serialize_test_section_shapes(path):
     assert shape_branches(SRC / "serialize.py")  # the scan sees a shape branch
     if path.name not in ("sections.py", "serialize.py"):
         assert shape_branches(path) == []
+
+
+def degree_ranges(path: Path) -> list[str]:
+    """Every hand-made degree range in the module: a `.window` read, a
+    `min`/`max` call over the `min_deg` or `top_deg` of two different
+    operands, and a `|` of `set(... .span())` calls."""
+    def bounds_read(call):
+        return {ast.unparse(n.value) for arg in call.args for n in ast.walk(arg)
+                if isinstance(n, ast.Attribute) and n.attr in ("min_deg", "top_deg")}
+
+    def span_set(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "set" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Attribute)
+                and node.args[0].func.attr == "span")
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "window":
+            found.append(f"line {node.lineno}: .window")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("min", "max") and len(bounds_read(node)) > 1):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+              and (span_set(node.left) or span_set(node.right))):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_complexes_decides_which_degrees_a_walk_visits(path):
+    """`complexes.support` is the one rule for the degrees of a walk over
+    several complexes: the degrees where some of them is nonzero, so a walk
+    never crosses the zero degrees between far-apart windows.  Constructions
+    in `complexes` that lay out one contiguous window keep their own bounds."""
+    assert degree_ranges(SRC / "complexes.py")  # the scan sees a hand-made range
+    if path.name != "complexes.py":
+        assert degree_ranges(path) == []

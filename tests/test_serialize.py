@@ -1,6 +1,7 @@
 """Document round-trips and rejection paths for the flat-file formats."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,20 @@ def test_complex_file_round_trip(tmp_path):
             path = tmp_path / f"c{seed}.json"
             save(obj, path, name=doc["name"])
             assert load(path) == obj
+
+
+def test_leading_zero_degrees_are_stripped_in_linear_time(tmp_path):
+    """20,000 zero-generator degrees below one copy of Z are dropped in one
+    slice; dropping them one at a time copies the tuples quadratically."""
+    n = 20_000
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps({
+        "name": "padded", "min_degree": 0, "differentials": [[]] * n,
+        "degrees": [{"generators": 0, "relations": []}] * n + [{"generators": 1, "relations": []}]}))
+    start = time.perf_counter()
+    x = load(path)
+    assert time.perf_counter() - start < 1.0
+    assert x == sphere_complex(n) and x.min_deg == n
 
 
 def test_relations_list_one_relation_per_row():
