@@ -82,21 +82,21 @@ class RunReport:
         for key, value in self.inputs.items():
             lines.append(f"input {key}: {value}")
         for check in self.checks:
-            _render(check, lines, 0)
+            _render(check.to_dict(), lines, 0)
         lines.append(f"verdict: {'pass' if self.verdict else 'fail'}")
         lines.append(f"elapsed: {self.elapsed_ms} ms")
         return "\n".join(lines) + "\n"
 
 
-def _render(cert: Certificate, lines: list, depth: int) -> None:
-    mark = "PASS" if cert.passed else "FAIL"
-    doc = cert.to_dict()
+def _render(doc: dict, lines: list, depth: int) -> None:
+    """Append the lines of one certificate's `to_dict()` and its subtree."""
+    mark = "PASS" if doc["passed"] else "FAIL"
     detail = ""
     if "witness" in doc:
         detail = " " + " ".join(f"{k}={json.dumps(v)}" if not isinstance(v, str)
                                 else f"{k}={v}" for k, v in doc["witness"].items())
-    lines.append(f"{'  ' * depth}[{mark}] {cert.check}{detail}")
-    for child in cert.children:
+    lines.append(f"{'  ' * depth}[{mark}] {doc['check']}{detail}")
+    for child in doc.get("children", ()):
         _render(child, lines, depth + 1)
 
 

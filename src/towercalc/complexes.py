@@ -4,6 +4,9 @@ Degrees are homological: the differential lowers degree by one.  A complex
 stores a contiguous window of presentations starting at ``min_deg`` with the
 differentials inside it; degrees outside are zero.  Checks walk the degrees of
 `support`, the union of windows, so distance from degree 0 costs nothing.
+The two builders that combine two complexes degreewise, `direct_sum` and
+`mapping_cone`, are the exception: they lay out every degree between the two
+windows, so their cost grows with the gap between them.
 
 Validation
 ----------
@@ -38,6 +41,9 @@ build.
 
 Caches
 ------
+The caching rule: memoize normal forms, lattice problems and homology, plus
+the two constructions a battery measurably repeats.
+
 Complexes and maps here are tuple-backed records (`exactalg.Record`), as are
 the matrices and presentations they hold, and the other objects are frozen
 dataclasses; all are immutable and compared by structure, and a record
@@ -51,25 +57,22 @@ on a shared key compares by identity.
 
 - `homology_data`, keyed by (complex, degree), keeps CACHE_MAXSIZE entries,
   like the per-matrix normal-form records in `exactalg`.
-- The constructions keep BUILD_CACHE_MAXSIZE entries each, because their
-  reuse happens within one complex's battery of checks: `induced_map`,
-  `degreewise_kernel` (which pullbacks share, being the kernels of their
-  difference maps) and the general case of `cofibrant_replacement` here,
-  `postnikov_section` and `connective_cover` in `trunc`,
-  `hofib_factorization` in `hofib`, `tower_limit` in `holim`, and the
-  shared `IntegerMatrix.zero`, `IntegerMatrix.identity` and
-  `Presentation.free` in `exactalg`.
-- The lattice memos `solve_matrix`, `preimage_lattice`, `column_basis` and
-  `subquotient` in `exactalg` keep BUILD_CACHE_MAXSIZE entries too: the
-  homology and kernel computations of one battery repeat most of their
-  lattice problems.
+- The lattice memos `solve_matrix`, `preimage_lattice` and `subquotient` in
+  `exactalg` keep BUILD_CACHE_MAXSIZE entries: the homology and kernel
+  computations of one battery repeat most of their lattice problems.
+- The two repeated constructions, `postnikov_section` in `trunc` and
+  `hofib_factorization` in `hofib`, keep BUILD_CACHE_MAXSIZE entries each.
+  So do `tower_limit` in `holim`, which `milnor_check` asks for once per
+  degree, and the shared `IntegerMatrix.zero`, `IntegerMatrix.identity`
+  and `Presentation.free` in `exactalg`.
+- Covers, kernels, induced maps and free replacements are rebuilt on every
+  call: built trusted, one costs a few memo hits.  Removed one at a time,
+  none of their caches moved a 240-complex battery's CPU time outside its
+  noise; removed together with `column_basis`'s, they cost it about 4 %.
 - `serialize.loads` keeps the objects of BUILD_CACHE_MAXSIZE documents,
   keyed by their bytes and location: a process that runs several commands
   on one file gets the same complex, tower or cospan each time, so the
   caches above are hit by identity.
-- A branch that hands back the caller's own complex runs before the cache
-  (`cofibrant_replacement` of a free complex, `connective_cover` below the
-  window), so it still returns that very object.
 """
 from __future__ import annotations
 
@@ -80,7 +83,6 @@ from functools import lru_cache
 from .certificates import Certificate, bundle, failed, int_text, passed
 from .errors import IllFormedMap, InputError, NotCofibrant, ValidationError
 from .exactalg import (
-    BUILD_CACHE_MAXSIZE,
     CACHE_MAXSIZE,
     FpAbelianGroup,
     GroupMap,
@@ -361,7 +363,6 @@ def homology(x: ChainComplex) -> HomologyProfile:
     return HomologyProfile.of((i, homology_group(x, i)) for i in x.span())
 
 
-@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def induced_map(f: ChainMap, i: int) -> GroupMap:
     """H_i(f) between the cached homology presentations."""
     hx = homology_data(f.source, i)
@@ -393,6 +394,9 @@ def shift(x: ChainComplex, n: int) -> ChainComplex:
 
 
 def direct_sum(x: ChainComplex, y: ChainComplex) -> ChainComplex:
+    """X + Y degreewise.  The result's window runs from the lower window's
+    bottom to the higher one's top, so every degree in a gap between the two
+    windows is laid out as a zero degree: the cost grows with that gap."""
     if x.is_zero:
         return y
     if y.is_zero:
@@ -422,7 +426,11 @@ def cotuple(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
-    """Cone(f)_n = X_{n-1} + Y_n, d(x, y) = (-dx, dy - fx): d_n = [[-d_X, 0], [-f, d_Y]]."""
+    """Cone(f)_n = X_{n-1} + Y_n, d(x, y) = (-dx, dy - fx): d_n = [[-d_X, 0], [-f, d_Y]].
+
+    Like `direct_sum`, it lays out every degree between the windows of the
+    shifted source and the target, so its cost grows with the gap between
+    them."""
     x, y = f.source, f.target
     if x.is_zero or y.is_zero:  # no window to lay out between the two sides
         return y if x.is_zero else shift(x, 1)
@@ -541,7 +549,6 @@ def pullback_induced_map(p1: ChainMap, p2: ChainMap, f: ChainMap, g: ChainMap) -
     return ChainMap(w, pb, tuple(comps))
 
 
-@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def degreewise_kernel(f: ChainMap):
     """(K, inclusion) with K_i the kernel of f_i as a subgroup of source_i."""
     x = f.source
@@ -628,15 +635,9 @@ def cofibrant_replacement(x: ChainComplex):
     commutes up to rho_{i-1}, a relation of X) and onto in every degree.
     Its kernel is {(rho_i a, y)}, and in the coordinates (a, y + s_i a) the
     differential sends (a, b) to (b, 0): the cone of an identity, which is
-    acyclic.  So q is a quasi-isomorphism.  Only the general case is cached,
-    so a free complex comes back as the caller's own object."""
+    acyclic.  So q is a quasi-isomorphism."""
     if x.is_degreewise_free:
         return x, ChainMap.identity(x)
-    return _free_approximation(x)
-
-
-@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
-def _free_approximation(x: ChainComplex):
     lo, hi = x.min_deg, x.top_deg + 1
     rho = {i: column_basis(x.pres_at(i).relations) for i in range(lo - 1, hi)}
     s = {i: solve_matrix(rho[i - 1], x.diff_at(i) @ rho[i]) for i in range(lo, hi)}

@@ -21,24 +21,27 @@ without reduction reached thousands of bits at 10 x 10.
 
 Caches
 ------
-Each matrix has one normal-form record, kept for the CACHE_MAXSIZE most
-recently used matrices by `_normal_forms`: its Smith form, its column
-Hermite form and the group its columns present, each filled in when first
-asked for.  Hermite forms and Smith invariants are unique, so whichever
-route fills a field gives the same value.  A group asked for after the
-Smith form is read off its diagonal; one asked for first comes from the
-transform-free Hermite route, whose form then serves `column_basis`.
-Within the cache bound, each normal form of a matrix is computed once per
-process.  The four lattice entry points `solve_matrix`, `preimage_lattice`,
-`column_basis` and `subquotient` are memos of BUILD_CACHE_MAXSIZE entries:
-every homotopy limit downstream (tower limits, fibered products, homotopy
-fibers) comes down to subquotients, and one complex's battery of checks asks
-for the same ones again and again.  Their arguments and values are matrices
-and presentations (or None): immutable tuple-backed records (see `Record`),
-compared and hashed by structure, so a hit hands back a value equal to a
-fresh computation.  `lattice_contains` is not memoized: its zero-vector and
-zero-lattice exits run before any lookup, and the rest reaches the
-`solve_matrix` memo.
+The caching rule (see "Caches" in `complexes`): memoize normal forms,
+lattice problems and homology, plus the two constructions a battery
+measurably repeats.  Each matrix has one normal-form record, kept for the
+CACHE_MAXSIZE most recently used matrices by `_normal_forms`: its Smith
+form, its column Hermite form (the basis `column_basis` returns) and the
+group its columns present, each filled in when first asked for.  Hermite
+forms and Smith invariants are unique, so whichever route fills a field
+gives the same value.  A group asked for after the Smith form is read off
+its diagonal; one asked for first comes from the transform-free Hermite
+route, whose form then serves `column_basis`.  Within the cache bound, each
+normal form of a matrix is computed once per process.  The three lattice
+problems `solve_matrix`, `preimage_lattice` and `subquotient` are memos of
+BUILD_CACHE_MAXSIZE entries: every homotopy limit downstream (tower limits,
+fibered products, homotopy fibers) comes down to kernels and subquotients,
+and one complex's battery of checks asks for the same ones again and again.
+Their arguments and values are matrices and presentations (or None):
+immutable tuple-backed records (see `Record`), compared and hashed by
+structure, so a hit hands back a value equal to a fresh computation.
+`column_basis` is no memo of its own: it reads the normal-form record.
+`lattice_contains` is not memoized: its zero-vector and zero-lattice exits
+run before any lookup, and the rest reaches the `solve_matrix` memo.
 
 Builders hand back an existing equal record wherever shapes or object
 identity decide the result, reading no entries: a product with an empty
@@ -87,16 +90,18 @@ from .errors import IllFormedMap, InputError
 # the caches hold every matrix and complex a long run has seen.
 CACHE_MAXSIZE = 1024
 
-# Entries kept by each construction cache (truncations, covers, fiber
-# factorizations, free replacements, degreewise kernels, induced maps, tower
-# limits and the shared constant matrices) and by each of the four lattice
-# memos (solve_matrix, preimage_lattice, column_basis, subquotient).  Their
-# reuse happens inside one complex's battery.  Over 240 seeded complexes,
-# postnikov_section keeps 5,684 of the 5,755 hits it gets at 1024 entries,
-# and 1024-entry construction caches raised the peak RSS of a 480-complex
-# battery from 28.5 to 39.9 MB.  solve_matrix gets 43,786 hits against
-# 13,237 misses at 64 entries; at 1024 its misses fall to 5,543 but the
-# battery's CPU time does not.
+# The caching rule (see "Caches" in `complexes`): memoize normal forms,
+# lattice problems and homology, plus the two constructions a battery
+# measurably repeats.  This bounds each lattice memo (solve_matrix,
+# preimage_lattice, subquotient), each repeated construction
+# (postnikov_section, hofib_factorization, and tower_limit, which
+# milnor_check asks for once per degree) and the shared constant matrices.
+# Their reuse happens inside one complex's battery.  Over 240 seeded
+# complexes, postnikov_section keeps 5,684 of the 5,755 hits it gets at 1024
+# entries, and 1024-entry construction caches raised the peak RSS of a
+# 480-complex battery from 28.5 to 39.9 MB.  solve_matrix gets 43,786 hits
+# against 13,237 misses at 64 entries; at 1024 its misses fall to 5,543 but
+# the battery's CPU time does not.
 BUILD_CACHE_MAXSIZE = 64
 
 
@@ -428,13 +433,13 @@ class SnfDecomposition:
 
 class _NormalForms:
     """What is known of one matrix, filled in as the readers ask: its Smith
-    form `snf`, its column Hermite form `hermite` (a tuple of row tuples, so
-    no reader can change it) and the group its columns present."""
+    form `snf`, its column Hermite form `basis` (the matrix `column_basis`
+    returns) and the group its columns present."""
 
-    __slots__ = ("snf", "hermite", "group")
+    __slots__ = ("snf", "basis", "group")
 
     def __init__(self):
-        self.snf = self.hermite = self.group = None
+        self.snf = self.basis = self.group = None
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -521,27 +526,23 @@ def solve_matrix(m: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     return snf.V @ IntegerMatrix(m.cols, k, tuple(y))
 
 
-def _column_hermite(m: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
-    """The column Hermite form of m: `_hermite` of its columns, whose rows
-    are the basis columns of its column lattice."""
-    return tuple(map(tuple, _hermite([list(c) for c in m.columns()])))
+def _column_hermite(m: IntegerMatrix) -> IntegerMatrix:
+    """The column Hermite form of m, uncached: `_hermite` of its columns,
+    whose rows are the basis columns of its column lattice."""
+    h = _hermite([list(c) for c in m.columns()])
+    return IntegerMatrix(m.rows, len(h), tuple(chain.from_iterable(zip(*h))))
 
 
-def _hermite_of(forms: _NormalForms, m: IntegerMatrix):
-    if forms.hermite is None:
-        forms.hermite = _column_hermite(m)
-    return forms.hermite
-
-
-@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def column_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Basis (as columns) of the column lattice of m: the nonzero columns of
-    its column Hermite form, read from the matrix's normal-form record, so
-    that it is computed once with `group_from_presentation`."""
+    its column Hermite form, kept in the matrix's normal-form record, where
+    `group_from_presentation` may already have left it."""
     if m.rows == m.cols and m is IntegerMatrix.identity(m.rows):
         return m
-    h = _hermite_of(_normal_forms(m), m)
-    return IntegerMatrix(m.rows, len(h), tuple(chain.from_iterable(zip(*h))))
+    forms = _normal_forms(m)
+    if forms.basis is None:
+        forms.basis = _column_hermite(m)
+    return forms.basis
 
 
 def lattice_contains(gens: IntegerMatrix, vectors: IntegerMatrix) -> bool:
@@ -711,7 +712,7 @@ def group_from_presentation(relations: IntegerMatrix) -> FpAbelianGroup:
         if forms.snf is not None:
             forms.group = _group_from_snf(relations, forms.snf)
         else:
-            forms.group = _group_from_hermite(relations.rows, _hermite_of(forms, relations))
+            forms.group = _group_from_hermite(relations.rows, column_basis(relations))
     return forms.group
 
 
@@ -721,28 +722,29 @@ def _group_from_snf(relations: IntegerMatrix, snf: SnfDecomposition) -> FpAbelia
     return FpAbelianGroup(relations.rows - snf.rank, tuple(x for x in snf.d if x > 1))
 
 
-def _group_from_hermite(g: int, h) -> FpAbelianGroup:
+def _group_from_hermite(g: int, basis: IntegerMatrix) -> FpAbelianGroup:
     """The quotient of Z^g by the column lattice whose column Hermite form
-    (see `_column_hermite`) is h, with transforms tracked nowhere.
+    (see `_column_hermite`) is `basis`, with transforms tracked nowhere.
 
-    h has r rows, so the quotient has free rank g - r.  When every pivot is
-    1 it is free; at r = g with one pivot p above 1 it is Z/p.  Otherwise
-    only the invariant factors d_1 | ... | d_r are needed, so `_diagonalize`
-    runs on h with no transforms appended and its r diagonal entries are
-    normalized into the chain.
+    `basis` has r columns, so the quotient has free rank g - r.  When every
+    pivot is 1 it is free; at r = g with one pivot p above 1 it is Z/p.
+    Otherwise only the invariant factors d_1 | ... | d_r are needed, so
+    `_diagonalize` runs on `basis` with no transforms appended and its r
+    diagonal entries are normalized into the chain.
     """
-    free = g - len(h)
-    large = [p for p in (next(x for x in r if x) for r in h) if p > 1]
+    r = basis.cols
+    free = g - r
+    large = [p for p in (next(x for x in c if x) for c in basis.columns()) if p > 1]
     if not large:
         return FpAbelianGroup(free, ())
     if not free and len(large) == 1:
         # each relation with a unit pivot writes its generator through later
         # ones, so the generator at the one larger pivot spans the group
         return FpAbelianGroup(0, (large[0],))
-    # h is already a row Hermite form: start from its transpose, so that the
-    # first pass does work instead of rebuilding h
-    a, _, _ = _diagonalize([list(c) for c in zip(*h)], [[]] * g, [[]] * len(h))
-    return FpAbelianGroup(free, _invariant_factors(a[i][i] for i in range(len(h))))
+    # the transpose of `basis` is a row Hermite form: start from `basis`
+    # itself, so that the first (row) pass does work instead of rebuilding it
+    a, _, _ = _diagonalize(basis.to_rows(), [[]] * g, [[]] * r)
+    return FpAbelianGroup(free, _invariant_factors(a[i][i] for i in range(r)))
 
 
 def nested_lattices_equal(outer: IntegerMatrix, inner: IntegerMatrix) -> bool:

@@ -7,7 +7,7 @@ certify that this kernel is the connective cover, that the comparison map
 into the factorization is a quasi-isomorphism, and that cutting one degree
 deeper leaves a single homology group — the layer.
 
-`hofib_factorization` is cached like the truncations it is built from
+`hofib_factorization` is cached like the section it is built from
 (BUILD_CACHE_MAXSIZE entries; see `complexes`), so the counit and layer
 checks of one complex share each factorization.
 """

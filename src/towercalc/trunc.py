@@ -6,10 +6,6 @@ below k: it is the `subcomplex` of X on the cycles in degree k+1 and all of
 X above, with nothing at or below k.  The two fit into a
 degreewise short exact sequence whose long exact homology sequence is checked
 spot by spot, not assumed.
-
-Both constructions are cached (BUILD_CACHE_MAXSIZE entries each; see
-`complexes` for why sharing is safe), so the checks that truncate the same
-complex at the same cut build and validate each section and cover once.
 """
 from __future__ import annotations
 
@@ -76,14 +72,9 @@ def connective_cover(x: ChainComplex, k: int):
     cycles, j the evident inclusion.  H_i(C) = H_i(X) for i > k, zero below.
 
     Below the window X is its own cover and comes back as the caller's own
-    object; every other cover is cached."""
+    object."""
     if k < x.min_deg:
         return x, ChainMap.identity(x)
-    return _cover_at(x, k)
-
-
-@lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
-def _cover_at(x: ChainComplex, k: int):
     lattices = []
     if k < x.top_deg:
         cycles = preimage_lattice(x.diff_at(k + 1), x.pres_at(k).relations)

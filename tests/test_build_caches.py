@@ -1,7 +1,8 @@
-"""Tests for the construction and lattice caches: a cached truncation, cover,
-fiber factorization, free replacement, kernel, induced map, tower limit,
-solve, preimage lattice, lattice basis or subquotient equals a fresh
-computation, and a second check at the same cut rebuilds none of them.
+"""Tests for the construction and lattice caches: a cached truncation, fiber
+factorization, tower limit, solve, preimage lattice or subquotient equals a
+fresh computation, and a second check at the same cut rebuilds no section
+and solves no lattice problem again.  Covers, kernels, induced maps, free
+replacements and lattice bases are not cached, so those are rebuilt.
 """
 
 import random
@@ -11,20 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towercalc import complexes, trunc
-from towercalc.complexes import (
-    ChainMap,
-    cofibrant_replacement,
-    degreewise_kernel,
-    direct_sum,
-    induced_map,
-    moore_complex,
-    sphere_complex,
-)
+from towercalc import trunc
+from towercalc.complexes import ChainMap, direct_sum, moore_complex, sphere_complex
 from towercalc.exactalg import (
     IntegerMatrix,
     Presentation,
-    column_basis,
     preimage_lattice,
     solve_matrix,
     subquotient,
@@ -33,10 +25,10 @@ from towercalc.gen import random_complex
 from towercalc.hofib import derived_counit_check, hofib_factorization
 from towercalc.holim import tower_limit
 from towercalc.sections import postnikov_tower
-from towercalc.trunc import connective_cover, fiber_sequence_check, postnikov_section
+from towercalc.trunc import fiber_sequence_check, postnikov_section
 
 
-def test_a_second_check_at_a_cut_rebuilds_no_section_or_cover(monkeypatch):
+def test_a_second_check_at_a_cut_rebuilds_no_section(monkeypatch):
     x = direct_sum(moore_complex(6, 0), sphere_complex(1))
     k = 0
     assert fiber_sequence_check(x, k).passed
@@ -54,7 +46,9 @@ def test_a_second_check_at_a_cut_rebuilds_no_section_or_cover(monkeypatch):
 
     monkeypatch.setattr(ChainMap, "__init__", counted)
     assert derived_counit_check(x, k).passed
-    assert built == []
+    # the cover is rebuilt from memo hits; the section comes from its cache
+    assert "connective_cover" in built
+    assert "postnikov_section" not in built
 
 
 @pytest.mark.single_route
@@ -81,14 +75,7 @@ def test_cached_constructors_return_what_a_fresh_build_returns(seed):
     x = random_complex(random.Random(seed))
     for k in range(x.min_deg - 1, x.top_deg + 1):
         _assert_fresh(postnikov_section, lambda: postnikov_section(x, k))
-        _assert_fresh(trunc._cover_at, lambda: connective_cover(x, k))
         _assert_fresh(hofib_factorization, lambda: hofib_factorization(x, k))
-        section, q = postnikov_section(x, k)
-        _assert_fresh(complexes._free_approximation, lambda: cofibrant_replacement(section))
-        _, proj = hofib_factorization(x, k)
-        _assert_fresh(degreewise_kernel, lambda: degreewise_kernel(proj))
-        for i in x.span():
-            _assert_fresh(induced_map, lambda: induced_map(q, i))
     tower = postnikov_tower(x, max(x.top_deg, 0))
     _assert_fresh(tower_limit, lambda: tower_limit(tower))
     for n in x.span():
@@ -103,7 +90,6 @@ def test_cached_constructors_return_what_a_fresh_build_returns(seed):
             assert solve_matrix(d.scale(2), d) is None
             _assert_fresh(solve_matrix, lambda: solve_matrix(d.scale(2), d))
         _assert_fresh(preimage_lattice, lambda: preimage_lattice(d, rel))
-        _assert_fresh(column_basis, lambda: column_basis(d.hstack(rel)))
         cycles = preimage_lattice(d, rel)
         boundaries = x.diff_at(n + 1).hstack(x.pres_at(n).relations)
         _assert_fresh(subquotient, lambda: subquotient(cycles, boundaries))
