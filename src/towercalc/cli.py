@@ -181,41 +181,34 @@ def _cmd_tower(args):
     return inputs, checks
 
 
-def _instances(args):
-    """Seeded instance stream for the batch subcommands."""
+def _one_or_batch(args, kind: str, check, suite: str, prepare):
+    """`check` on one `kind` document, or on each of a seeded batch of
+    instances, made ready by `prepare` and bundled into `suite`."""
+    if args.file:
+        obj, inputs = _load(args.file, kind)
+        return inputs, [check(obj)]
     if args.count < 0:
         raise InputError(f"--count must be at least 0, got {args.count}")
     rng = random.Random(args.seed)
-    return [random_complex(rng) for _ in range(args.count)]
+    instances = [random_complex(rng) for _ in range(args.count)]
+    checks = [bundle("instance", [check(prepare(x))], index=i) for i, x in enumerate(instances)]
+    return ({"seed": str(args.seed), "count": str(args.count)},
+            [bundle(suite, checks, seed=args.seed, count=args.count)])
 
 
 def _cmd_hypercomplete(args):
-    if args.file:
-        x, inputs = _load(args.file, "complex")
-        return inputs, [hypercomplete_check(x)]
-    checks = [bundle("instance", [hypercomplete_check(x)], index=i)
-              for i, x in enumerate(_instances(args))]
-    suite = bundle("hypercompleteness_suite", checks,
-                   seed=args.seed, count=args.count)
-    return {"seed": str(args.seed), "count": str(args.count)}, [suite]
+    return _one_or_batch(args, "complex", hypercomplete_check, "hypercompleteness_suite",
+                         lambda x: x)
 
 
 def _cmd_milnor(args):
-    def tower_of(x: ChainComplex) -> TowerSection:
-        return postnikov_tower(x, max(x.top_deg, 0))
-
     def all_degrees(t: TowerSection) -> Certificate:
         top = t.level(t.length)
         degrees = top.span() if not top.is_zero else range(0, 1)
         return bundle("milnor", [milnor_check(t, i) for i in degrees])
 
-    if args.file:
-        t, inputs = _load(args.file, "tower")
-        return inputs, [all_degrees(t)]
-    checks = [bundle("instance", [all_degrees(tower_of(x))], index=i)
-              for i, x in enumerate(_instances(args))]
-    suite = bundle("milnor_suite", checks, seed=args.seed, count=args.count)
-    return {"seed": str(args.seed), "count": str(args.count)}, [suite]
+    return _one_or_batch(args, "tower", all_degrees, "milnor_suite",
+                         lambda x: postnikov_tower(x, max(x.top_deg, 0)))
 
 
 def _cmd_fracture(args):

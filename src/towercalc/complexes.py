@@ -8,6 +8,20 @@ The two builders that combine two complexes degreewise, `direct_sum` and
 `mapping_cone`, are the exception: they lay out every degree between the two
 windows, so their cost grows with the gap between them.
 
+Layout
+------
+The stored window (``degrees``, ``differentials``) is this module's own
+format: only the builders here lay out a complex, and every other module
+builds with them and reads a complex through `pres_at`, `diff_at`, `span`
+and the bounds ``min_deg`` and ``top_deg``.  So a change of storage stays in
+this module.  There are three exceptions, each pinned by
+`tests/test_imports.py`: `serialize`, because a document spells out the
+window field by field, in both directions; `gen`, because a generated
+instance enters like a document, as a window rebuilt through the public
+constructor after each change of basis of its differentials; and
+`trunc.postnikov_section`, because it keeps a prefix of the window as it
+stands and cuts it at one degree.
+
 Validation
 ----------
 `ChainComplex`, `ChainMap` and `exactalg.GroupMap` check in two stages:
@@ -41,8 +55,9 @@ build.
 
 Caches
 ------
-The caching rule: memoize normal forms, lattice problems and homology, plus
-the two constructions a battery measurably repeats.
+The caching rule, for every module: memoize normal forms, lattice problems
+and homology, plus the two constructions a battery measurably repeats.
+Every cache is bounded by CACHE_MAXSIZE or BUILD_CACHE_MAXSIZE.
 
 Complexes and maps here are tuple-backed records (`exactalg.Record`), as are
 the matrices and presentations they hold, and the other objects are frozen
@@ -486,7 +501,7 @@ def hom_complex(m: ChainComplex, n: ChainComplex) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# sub-complexes (kernels, pullbacks) and cokernels
+# sub-complexes (kernels, pullbacks), disk covers and cokernels
 
 
 def subcomplex(x: ChainComplex, lo: int, lattices):
@@ -555,6 +570,29 @@ def degreewise_kernel(f: ChainMap):
     lattices = [preimage_lattice(f.component_at(i), f.target.pres_at(i).relations)
                 for i in x.span()]
     return subcomplex(x, x.min_deg, lattices)
+
+
+def disk_cover(p: ChainComplex) -> ChainMap:
+    """Map a sum of disks, one per generator of p, onto p: the sum is
+    degreewise free and acyclic, and the map is onto in every degree.
+
+    Degree n of the sum holds the tops of the degree-n disks, then the
+    bottoms of the degree-(n+1) disks; each top goes to its generator and
+    each bottom to that generator's boundary, so the component is
+    [I | d_{n+1}].  The order is that of summing the disks one at a time,
+    by degree and then generator.  The sum is laid out in one pass, not
+    folded through `direct_sum`.
+    """
+    lo = p.min_deg - 1
+    gens = {n: p.pres_at(n).generators for n in range(lo, p.top_deg + 2)}
+    disks = ChainComplex._trusted(
+        lo,
+        tuple(Presentation.free(gens[n] + gens[n + 1]) for n in range(lo, p.top_deg + 1)),
+        tuple(block_diag(IntegerMatrix.zero(gens[n - 1], 0), IntegerMatrix.identity(gens[n]),
+                         IntegerMatrix.zero(0, gens[n + 1]))
+              for n in range(lo + 1, p.top_deg + 1)))
+    return ChainMap._trusted(disks, p, tuple(IntegerMatrix.identity(gens[n]).hstack(p.diff_at(n + 1))
+                                             for n in disks.span()))
 
 
 def cokernel_complex(j: ChainMap):

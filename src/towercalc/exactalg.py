@@ -21,27 +21,27 @@ without reduction reached thousands of bits at 10 x 10.
 
 Caches
 ------
-The caching rule (see "Caches" in `complexes`): memoize normal forms,
-lattice problems and homology, plus the two constructions a battery
-measurably repeats.  Each matrix has one normal-form record, kept for the
-CACHE_MAXSIZE most recently used matrices by `_normal_forms`: its Smith
-form, its column Hermite form (the basis `column_basis` returns) and the
-group its columns present, each filled in when first asked for.  Hermite
-forms and Smith invariants are unique, so whichever route fills a field
-gives the same value.  A group asked for after the Smith form is read off
-its diagonal; one asked for first comes from the transform-free Hermite
-route, whose form then serves `column_basis`.  Within the cache bound, each
-normal form of a matrix is computed once per process.  The three lattice
-problems `solve_matrix`, `preimage_lattice` and `subquotient` are memos of
-BUILD_CACHE_MAXSIZE entries: every homotopy limit downstream (tower limits,
-fibered products, homotopy fibers) comes down to kernels and subquotients,
-and one complex's battery of checks asks for the same ones again and again.
-Their arguments and values are matrices and presentations (or None):
-immutable tuple-backed records (see `Record`), compared and hashed by
-structure, so a hit hands back a value equal to a fresh computation.
-`column_basis` is no memo of its own: it reads the normal-form record.
-`lattice_contains` is not memoized: its zero-vector and zero-lattice exits
-run before any lookup, and the rest reaches the `solve_matrix` memo.
+The caching rule is stated under "Caches" in `complexes`; this module keeps
+the normal forms and the lattice memos.  Each matrix has one normal-form
+record, kept for the CACHE_MAXSIZE most recently used matrices by
+`_normal_forms`: its Smith form, its column Hermite form (the basis
+`column_basis` returns) and the group its columns present, each filled in
+when first asked for.  Hermite forms and Smith invariants are unique, so
+whichever route fills a field gives the same value.  A group asked for after
+the Smith form is read off its diagonal; one asked for first comes from the
+transform-free Hermite route, whose form then serves `column_basis`.  Within
+the cache bound, each normal form of a matrix is computed once per process.
+The three lattice problems `solve_matrix`, `preimage_lattice` and
+`subquotient` are memos of BUILD_CACHE_MAXSIZE entries: every homotopy limit
+downstream (tower limits, fibered products, homotopy fibers) comes down to
+kernels and subquotients, and one complex's battery of checks asks for the
+same ones again and again.  Their arguments and values are matrices and
+presentations (or None): immutable tuple-backed records (see `Record`),
+compared and hashed by structure, so a hit hands back a value equal to a
+fresh computation.  `column_basis` is no memo of its own: it reads the
+normal-form record.  `lattice_contains` is not memoized: its zero-vector and
+zero-lattice exits run before any lookup, and the rest reaches the
+`solve_matrix` memo.
 
 Builders hand back an existing equal record wherever shapes or object
 identity decide the result, reading no entries: a product with an empty
@@ -90,10 +90,9 @@ from .errors import IllFormedMap, InputError
 # the caches hold every matrix and complex a long run has seen.
 CACHE_MAXSIZE = 1024
 
-# The caching rule (see "Caches" in `complexes`): memoize normal forms,
-# lattice problems and homology, plus the two constructions a battery
-# measurably repeats.  This bounds each lattice memo (solve_matrix,
-# preimage_lattice, subquotient), each repeated construction
+# The bound of every cache of the caching rule ("Caches" in `complexes`)
+# other than the normal-form and homology records: each lattice memo
+# (solve_matrix, preimage_lattice, subquotient), each repeated construction
 # (postnikov_section, hofib_factorization, and tower_limit, which
 # milnor_check asks for once per degree) and the shared constant matrices.
 # Their reuse happens inside one complex's battery.  Over 240 seeded

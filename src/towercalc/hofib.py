@@ -1,8 +1,9 @@
 """Homotopy fibers of truncation.
 
 Factoring the quotient onto a truncation through an intermediate complex
-(identity plus one acyclic two-term block per target generator) turns the
-fiber of the truncation into an honest degreewise kernel.  The checks here
+(identity plus one acyclic two-term block per target generator, the source
+of `complexes.disk_cover`) turns the fiber of the truncation into an honest
+degreewise kernel.  The checks here
 certify that this kernel is the connective cover, that the comparison map
 into the factorization is a quasi-isomorphism, and that cutting one degree
 deeper leaves a single homology group — the layer.
@@ -23,13 +24,14 @@ from .complexes import (
     cotuple,
     degreewise_kernel,
     direct_sum,
+    disk_cover,
     homology,
     homology_group,
     is_quasi_iso,
     zero_complex,
 )
 from .errors import NotCofibrant
-from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, Presentation, block_diag
+from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix
 from .sections import CospanSection, Tag
 from .trunc import connective_cover, is_Pn_weq, layer, postnikov_section
 
@@ -37,27 +39,6 @@ from .trunc import connective_cover, is_Pn_weq, layer, postnikov_section
 def _require_free(x: ChainComplex) -> None:
     if not x.is_degreewise_free:
         raise NotCofibrant("expected a degreewise free complex")
-
-
-def _disk_cover(p: ChainComplex) -> ChainMap:
-    """Map a sum of disks, one per generator of p, onto p.
-
-    Degree n of the sum holds the tops of the degree-n disks, then the
-    bottoms of the degree-(n+1) disks; each top goes to its generator and
-    each bottom to that generator's boundary, so the component is
-    [I | d_{n+1}].  The order is that of summing the disks one at a time,
-    by degree and then generator.
-    """
-    lo = p.min_deg - 1
-    gens = {n: p.pres_at(n).generators for n in range(lo, p.top_deg + 2)}
-    disks = ChainComplex._trusted(
-        lo,
-        tuple(Presentation.free(gens[n] + gens[n + 1]) for n in range(lo, p.top_deg + 1)),
-        tuple(block_diag(IntegerMatrix.zero(gens[n - 1], 0), IntegerMatrix.identity(gens[n]),
-                         IntegerMatrix.zero(0, gens[n + 1]))
-              for n in range(lo + 1, p.top_deg + 1)))
-    return ChainMap._trusted(disks, p, tuple(IntegerMatrix.identity(gens[n]).hstack(p.diff_at(n + 1))
-                                             for n in disks.span()))
 
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
@@ -70,13 +51,13 @@ def hofib_factorization(x: ChainComplex, k: int):
     """
     _require_free(x)
     p, q = postnikov_section(x, k)
-    cover = _disk_cover(p)
+    cover = disk_cover(p)
     disks = cover.source
     # x is the first summand of x + disks, built as one map
     incl = ChainMap._trusted(x, direct_sum(x, disks), tuple(
-        IntegerMatrix.identity(d.generators).vstack(
-            IntegerMatrix.zero(disks.pres_at(i).generators, d.generators))
-        for i, d in zip(x.span(), x.degrees)))
+        IntegerMatrix.identity(g := x.pres_at(i).generators).vstack(
+            IntegerMatrix.zero(disks.pres_at(i).generators, g))
+        for i in x.span()))
     return incl, cotuple(q, cover)
 
 
@@ -92,7 +73,7 @@ def build_hofib_section(x: ChainComplex, k: int) -> CospanSection:
 def fibrant_adjustment(s: CospanSection) -> CospanSection:
     """Make both legs surjective without moving any vertex's homotopy type
     by summing one acyclic disk block per generator of the middle into each."""
-    cover = _disk_cover(s.x0)
+    cover = disk_cover(s.x0)
     left, right = cotuple(s.left, cover), cotuple(s.right, cover)
     return CospanSection(left.source, s.x0, right.source, left, right, tags=s.tags)
 

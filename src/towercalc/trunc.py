@@ -89,9 +89,8 @@ def fiber_sequence_check(x: ChainComplex, k: int) -> Certificate:
     section, q = postnikov_section(x, k)
 
     composite = q.compose(j)
-    zero_ok = all(
-        section.pres_at(cover.min_deg + idx).contains_in_relations(m)
-        for idx, m in enumerate(composite.components))
+    zero_ok = all(section.pres_at(i).contains_in_relations(composite.component_at(i))
+                  for i in cover.span())
     zero_cert = (passed("composite_vanishes") if zero_ok
                  else failed("composite_vanishes"))
 

@@ -4,11 +4,14 @@ that check the library's faster ones."""
 
 from math import gcd
 
+from hypothesis import strategies as st
+
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
     HomologyProfile,
     direct_sum,
+    disk_complex,
     homology_group,
     mapping_cone,
     moore_complex,
@@ -29,6 +32,21 @@ from towercalc.exactalg import (
     solve_matrix,
 )
 from towercalc.fracture import localize_group
+
+# small degreewise-free complexes as (kind, degree, order) pieces: a sphere
+# (kind 0), a disk (1) or a Moore complex of that order (2); and a cut to
+# truncate them at, from below their degrees to above them
+small_free_pieces_st = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-1, 3), st.integers(2, 7)), min_size=1, max_size=3)
+cut_st = st.integers(-2, 4)
+
+
+def free_sum(pieces) -> ChainComplex:
+    """The direct sum of the pieces, in order."""
+    out = zero_complex()
+    for kind, n, t in pieces:
+        out = direct_sum(out, (sphere_complex(n), disk_complex(n), moore_complex(t, n))[kind])
+    return out
 
 
 def tensor_group(a: FpAbelianGroup, b: FpAbelianGroup) -> FpAbelianGroup:

@@ -12,7 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_caches
-from helpers import complex_from_homology, stepwise_free_approximation
+from helpers import (
+    complex_from_homology,
+    free_sum,
+    small_free_pieces_st,
+    stepwise_free_approximation,
+)
 from towercalc.complexes import (
     MAX_DEGREE_SIZE,
     ChainComplex,
@@ -24,7 +29,9 @@ from towercalc.complexes import (
     degreewise_kernel,
     degreewise_pullback,
     direct_sum,
+    direct_sum_map,
     disk_complex,
+    disk_cover,
     hom_complex,
     homology,
     homology_data,
@@ -53,6 +60,7 @@ from towercalc.exactalg import (
     kernel_image_cokernel,
     pullback_group,
 )
+from towercalc.hofib import hofib_factorization
 from towercalc.trunc import connective_cover, postnikov_section
 
 # ---------------------------------------------------------------------------
@@ -433,6 +441,25 @@ def test_cokernel_complex_of_multiplication():
     quo, q = cokernel_complex(two)
     assert homology(quo) == HomologyProfile.of([(0, FpAbelianGroup.cyclic(2))])
     assert induced_map(q, 0).is_surjective()
+
+
+@given(small_free_pieces_st)
+@settings(max_examples=25, deadline=None)
+def test_disk_cover_is_onto_from_free_acyclic_disks(pieces):
+    """At every cut, from below the complex's degrees to above them, the
+    cover of the section is onto in every degree from a degreewise-free
+    acyclic sum of disks, and the homotopy-fiber factorization includes X as
+    the first summand of X plus those disks."""
+    x = free_sum(pieces)
+    for k in range(x.min_deg - 1, x.top_deg + 2):
+        p, _ = postnikov_section(x, k)
+        cover = disk_cover(p)
+        disks = cover.source
+        assert disks.is_degreewise_free and homology(disks) == homology(zero_complex())
+        for i in support(disks, p):
+            assert GroupMap(disks.pres_at(i), p.pres_at(i), cover.component_at(i)).is_surjective()
+        assert hofib_factorization(x, k)[0] == direct_sum_map(
+            ChainMap.identity(x), ChainMap.zero_map(zero_complex(), disks))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cut_st, free_sum, small_free_pieces_st
 from towercalc.complexes import (
     ChainComplex,
     ChainMap,
@@ -34,30 +35,6 @@ from towercalc.hofib import (
 )
 from towercalc.sections import CospanSection, surjective_in_positive_degrees
 from towercalc.trunc import connective_cover, postnikov_section
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def _piece(kind, n, t):
-    if kind == 0:
-        return sphere_complex(n)
-    if kind == 1:
-        return disk_complex(n)
-    return moore_complex(t, n)
-
-
-def build_sum(pieces):
-    out = zero_complex()
-    for kind, n, t in pieces:
-        out = direct_sum(out, _piece(kind, n, t))
-    return out
-
-
-free_piece_st = st.tuples(st.integers(0, 2), st.integers(-1, 3), st.integers(2, 7))
-free_pieces_st = st.lists(free_piece_st, min_size=1, max_size=3)
-cut_st = st.integers(-2, 4)
-
 
 # ---------------------------------------------------------------------------
 # reference: cover one generator at a time, summing one disk per step
@@ -147,10 +124,10 @@ def test_adjusted_section_has_surjective_legs():
     assert homology(s.x0) == homology(x).truncated(1)
 
 
-@given(free_pieces_st, cut_st)
+@given(small_free_pieces_st, cut_st)
 @settings(max_examples=40, deadline=None)
 def test_one_shot_disk_cover_matches_the_per_generator_fold(pieces, k):
-    x = build_sum(pieces)
+    x = free_sum(pieces)
     assert hofib_factorization(x, k) == folded_factorization(x, k)
     s = build_hofib_section(x, k)
     assert fibrant_adjustment(s) == folded_adjustment(s)
@@ -175,20 +152,20 @@ def test_factorization_builds_as_many_chain_maps_for_any_section_size(monkeypatc
     assert counts[0] == counts[1]
 
 
-@given(free_pieces_st, cut_st)
+@given(small_free_pieces_st, cut_st)
 @settings(max_examples=30, deadline=None)
 def test_fiber_always_carries_the_cover_homology(pieces, k):
-    x = build_sum(pieces)
+    x = free_sum(pieces)
     _, proj = hofib_factorization(x, k)
     fiber, _ = degreewise_kernel(proj)
     cover, _ = connective_cover(x, k)
     assert homology(fiber) == homology(cover)
 
 
-@given(free_pieces_st, cut_st)
+@given(small_free_pieces_st, cut_st)
 @settings(max_examples=30, deadline=None)
 def test_adjusted_sections_are_always_fibrant(pieces, k):
-    s = fibrant_adjustment(build_hofib_section(build_sum(pieces), k))
+    s = fibrant_adjustment(build_hofib_section(free_sum(pieces), k))
     assert surjective_in_positive_degrees(s.left, "left").passed
     assert surjective_in_positive_degrees(s.right, "right").passed
 
@@ -229,10 +206,10 @@ def test_compatibility_requires_free_corpus():
         compatibility_check(0, [sphere_complex(1), torsion])
 
 
-@given(st.lists(free_pieces_st, min_size=1, max_size=4), cut_st)
+@given(st.lists(small_free_pieces_st, min_size=1, max_size=4), cut_st)
 @settings(max_examples=25, deadline=None)
 def test_compatibility_holds_on_generated_corpora(corpus, k):
-    cert = compatibility_check(k, [build_sum(p) for p in corpus])
+    cert = compatibility_check(k, [free_sum(p) for p in corpus])
     assert cert.passed, cert.failures()
 
 
@@ -257,10 +234,10 @@ def test_counit_across_the_cut_with_a_working_boundary():
     assert derived_counit_check(x, 0).passed
 
 
-@given(free_pieces_st, cut_st)
+@given(small_free_pieces_st, cut_st)
 @settings(max_examples=25, deadline=None)
 def test_counit_properties(pieces, k):
-    assert derived_counit_check(build_sum(pieces), k).passed
+    assert derived_counit_check(free_sum(pieces), k).passed
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +268,9 @@ def test_layer_of_a_moore_complex_is_its_torsion():
         assert child.witness["value"] == str(FpAbelianGroup.cyclic(4))
 
 
-@given(free_pieces_st, cut_st)
+@given(small_free_pieces_st, cut_st)
 @settings(max_examples=25, deadline=None)
 def test_layer_properties(pieces, k):
-    x = build_sum(pieces)
+    x = free_sum(pieces)
     cert = layer_equivalence_check(x, k)
     assert cert.passed, cert.failures()

@@ -2,7 +2,8 @@
 library function and method is used somewhere, the modules where input
 enters never reach the trusted build path, only `sections` spells
 localization-tag text, only `sections` and `serialize` decide a
-section's shape, and only `complexes` decides which degrees a walk visits.
+section's shape, only `complexes` decides which degrees a walk visits, and
+only `complexes` lays out a complex, bar the three places that must.
 
 A stdlib `ast` scan: an imported name counts as used when the module reads
 it anywhere (annotations included) or lists it in `__all__`.
@@ -170,3 +171,40 @@ def test_only_complexes_decides_which_degrees_a_walk_visits(path):
     assert degree_ranges(SRC / "complexes.py")  # the scan sees a hand-made range
     if path.name != "complexes.py":
         assert degree_ranges(path) == []
+
+
+# where a complex's stored window may be read or built outside `complexes`:
+# documents and generated instances enter in `serialize` and `gen`, and
+# `trunc.postnikov_section` cuts the window
+LAYOUT_MODULES = ("complexes.py", "serialize.py", "gen.py")
+LAYOUT_FUNCTIONS = {"trunc.py": "postnikov_section"}
+
+
+def layouts(path: Path) -> list[str]:
+    """Every read of a complex's stored window (`.degrees` or
+    `.differentials`) and every `ChainComplex(...)` or
+    `ChainComplex._trusted(...)` call in the module, outside the body of the
+    module's entry in LAYOUT_FUNCTIONS."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    exempt = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == LAYOUT_FUNCTIONS.get(path.name) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in ("degrees", "differentials"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "ChainComplex", "ChainComplex._trusted"):
+            found.append(f"line {node.lineno}: {ast.unparse(node.func)}(...)")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_complexes_lays_out_a_complex(path):
+    """The stored window is `complexes`' own format: every other module
+    builds complexes with its builders and reads them through `pres_at` and
+    `diff_at`, so a change of storage stays inside `complexes`."""
+    assert layouts(SRC / "complexes.py")  # the scan sees a layout
+    if path.name not in LAYOUT_MODULES:
+        assert layouts(path) == []
