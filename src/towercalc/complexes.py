@@ -14,13 +14,11 @@ The stored window (``degrees``, ``differentials``) is this module's own
 format: only the builders here lay out a complex, and every other module
 builds with them and reads a complex through `pres_at`, `diff_at`, `span`
 and the bounds ``min_deg`` and ``top_deg``.  So a change of storage stays in
-this module.  There are three exceptions, each pinned by
+this module.  There are two exceptions, each pinned by
 `tests/test_imports.py`: `serialize`, because a document spells out the
-window field by field, in both directions; `gen`, because a generated
+window field by field, in both directions; and `gen`, because a generated
 instance enters like a document, as a window rebuilt through the public
-constructor after each change of basis of its differentials; and
-`trunc.postnikov_section`, because it keeps a prefix of the window as it
-stands and cuts it at one degree.
+constructor after each change of basis of its differentials.
 
 Validation
 ----------
@@ -31,27 +29,30 @@ lattice check, which verifies, modulo relations, that relations go to
 relations, d^2 = 0 and every square commutes, skipping only checks already
 decided (no relation columns, or a square whose sides are equal matrices).
 The public constructors run both, so documents (`serialize`, `cli`), `gen`
-and user code are checked in full.  Builders here and in `trunc`, `hofib`,
-`holim`, `sections`, `fracture` and `exactalg` whose results follow from
-valid inputs use
-`_trusted`, which runs only `_normalise`: identities, sums, composites,
-cones and the like are valid because their inputs are; kernels, pullbacks
-(the kernel of the difference map (f, -g)) and covers are all carved out by
+and user code are checked in full.  Only builders here and in `exactalg`
+use `_trusted`, which runs only `_normalise`, and each one's result follows
+from valid inputs, so every other module builds with them or runs every
+check (`tests/test_imports.py` pins that).  Identities, sums, composites,
+cones and the like are valid because their inputs are; a `truncation`
+keeps a prefix of a valid window, quotients its top degree by the incoming
+boundaries and maps onto it by the identity, and a `disk_factorization`
+includes X as the first summand of a direct sum and projects by a cotuple;
+kernels, pullbacks (the kernel of the difference map (f, -g), and
+`exactalg.difference_map` for groups) and covers are all carved out by
 `subcomplex`, which solves every differential exactly against the subgroup
-bases; sections solve their maps exactly too; a free replacement solves
-its twisting blocks exactly against relation bases, so D^2 = 0 on the nose
-and its map commutes up to relations of X (see `cofibrant_replacement`);
-an induced map reads exact homology coordinates of a chain map; one
-degree of a chain map (`sections._degree_map`) is well defined because the
-chain map is; and `fracture` stacks and subtracts its localization maps.
-Maps whose validity is being claimed, or rests on a condition nobody
-checked, stay checked: `pullback_induced_map`, `fiber_sequence_check`'s
-comparison, the chain maps that `sections` builds, the four localization
-and rationalization maps of `fracture`, and `connecting_map`, which is well
-defined only on a degreewise short exact pair that `les_certificate` does
-not verify.  The test suite routes
-`_trusted` through the public constructor, so it re-checks every trusted
-build.
+bases; a free replacement solves its twisting blocks exactly against
+relation bases, so D^2 = 0 on the nose and its map commutes up to relations
+of X (see `cofibrant_replacement`); an induced map reads exact homology
+coordinates of a chain map; and one degree of a chain map
+(`ChainMap.group_map`) is well defined because the chain map is.  Maps
+whose validity is being claimed, or rests on a condition nobody checked,
+stay checked: `ChainMap.prefix`, a chain map only for some pairs, and so
+`fiber_sequence_check`'s comparison; `pullback_induced_map`; the chain maps
+that `sections` builds; the localization and rationalization maps of
+`fracture` and the stack of the two localizations; and `connecting_map`,
+which is well defined only on a degreewise short exact pair that
+`les_certificate` does not verify.  The test suite routes `_trusted`
+through the public constructor, so it re-checks every trusted build.
 
 Caches
 ------
@@ -76,7 +77,8 @@ on a shared key compares by identity.
   `exactalg` keep BUILD_CACHE_MAXSIZE entries: the homology and kernel
   computations of one battery repeat most of their lattice problems.
 - The two repeated constructions, `postnikov_section` in `trunc` and
-  `hofib_factorization` in `hofib`, keep BUILD_CACHE_MAXSIZE entries each.
+  `hofib_factorization` in `hofib`, memoize the builders `truncation` and
+  `disk_factorization` here and keep BUILD_CACHE_MAXSIZE entries each.
   So do `tower_limit` in `holim`, which `milnor_check` asks for once per
   degree, and the shared `IntegerMatrix.zero`, `IntegerMatrix.identity`
   and `Presentation.free` in `exactalg`.
@@ -280,9 +282,21 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
         return IntegerMatrix.zero(self.target.pres_at(i).generators,
                                   self.source.pres_at(i).generators)
 
+    def group_map(self, i: int) -> GroupMap:
+        """Degree i as a group map, well defined because the chain map is."""
+        return GroupMap._trusted(self.source.pres_at(i), self.target.pres_at(i), self.component_at(i))
+
     @staticmethod
     def identity(x: ChainComplex) -> "ChainMap":
         return ChainMap._trusted(x, x, tuple(IntegerMatrix.identity(p.generators) for p in x.degrees))
+
+    @staticmethod
+    def prefix(source: ChainComplex, target: ChainComplex) -> "ChainMap":
+        """In each degree, generator a of the source goes to generator a of the
+        target if the target has one, and to 0 otherwise.  Checked: a prefix
+        map is a chain map only for some pairs (Z[1] into the disk on degrees
+        1, 0 is not one)."""
+        return ChainMap(source, target, _prefix_components(source, target))
 
     @staticmethod
     def zero_map(source: ChainComplex, target: ChainComplex) -> "ChainMap":
@@ -297,6 +311,21 @@ class ChainMap(Trusted, namedtuple("ChainMap", "source target components")):
         comps = tuple(self.component_at(inner.source.min_deg + j) @ f
                       for j, f in enumerate(inner.components))
         return ChainMap._trusted(inner.source, self.target, comps)
+
+
+def _prefix_components(source: ChainComplex, target: ChainComplex):
+    """The components of `ChainMap.prefix`: the shared identity where the two
+    counts agree, the shared zero where one of them is 0, else [I | 0] or [I; 0]."""
+    comps = []
+    for i, p in zip(source.span(), source.degrees):
+        s, t = p.generators, target.pres_at(i).generators
+        if s == t:
+            comps.append(IntegerMatrix.identity(s))
+        elif s < t:
+            comps.append(IntegerMatrix.identity(s).vstack(IntegerMatrix.zero(t - s, s)))
+        else:
+            comps.append(IntegerMatrix.identity(t).hstack(IntegerMatrix.zero(t, s - t)))
+    return tuple(comps)
 
 
 def chain_maps_agree(f: ChainMap, g: ChainMap) -> bool:
@@ -595,6 +624,30 @@ def disk_cover(p: ChainComplex) -> ChainMap:
                                              for n in disks.span()))
 
 
+def disk_factorization(f: ChainMap):
+    """(incl, proj) with f = proj after incl, through X + D for f: X -> Y and
+    D the sum of disks of `disk_cover(Y)`.  incl, the first-summand
+    inclusion, is a split injection with free cokernel D and, D being
+    acyclic, a quasi-isomorphism; proj = [f | cover] is onto in every degree
+    because the cover is.  The inclusion is built in one shot, not through
+    `direct_sum_map`."""
+    proj = cotuple(f, disk_cover(f.target))
+    return ChainMap._trusted(f.source, proj.source, _prefix_components(f.source, proj.source)), proj
+
+
+def truncation(x: ChainComplex, n: int):
+    """(P, q): degrees above n dropped, degree n quotiented by boundaries,
+    q the degreewise quotient map.  H_i(P) = H_i(X) for i <= n, zero above.
+    P keeps a prefix of X's window as it stands and cuts it at one degree."""
+    if x.is_zero or n < x.min_deg:
+        p = zero_complex()
+    else:
+        cut = min(n, x.top_deg)
+        degs = x.degrees[: cut - x.min_deg] + (x.pres_at(cut).quotient(x.diff_at(cut + 1)),)
+        p = ChainComplex._trusted(x.min_deg, degs, x.differentials[: cut - x.min_deg])
+    return p, ChainMap._trusted(x, p, _prefix_components(x, p))
+
+
 def cokernel_complex(j: ChainMap):
     """(Q, q) where Q_i = target_i / im(j_i) and q is the quotient map."""
     x = j.target
@@ -679,13 +732,11 @@ def cofibrant_replacement(x: ChainComplex):
     lo, hi = x.min_deg, x.top_deg + 1
     rho = {i: column_basis(x.pres_at(i).relations) for i in range(lo - 1, hi)}
     s = {i: solve_matrix(rho[i - 1], x.diff_at(i) @ rho[i]) for i in range(lo, hi)}
-    degs, diffs, comps = [], [], []
+    degs, diffs = [], []
     for i in range(lo, hi + 1):
-        g, r = x.pres_at(i).generators, rho[i - 1].cols
-        degs.append(Presentation.free(g + r))
-        comps.append(IntegerMatrix.identity(g).hstack(IntegerMatrix.zero(g, r)))
+        degs.append(Presentation.free(x.pres_at(i).generators + rho[i - 1].cols))
         if i > lo:
             h = solve_matrix(rho[i - 2], x.diff_at(i - 1) @ x.diff_at(i))
             diffs.append(x.diff_at(i).hstack(rho[i - 1]).vstack(-h.hstack(s[i - 1])))
     free = ChainComplex._trusted(lo, tuple(degs), tuple(diffs))
-    return free, ChainMap._trusted(free, x, tuple(comps[i - lo] for i in free.span()))
+    return free, ChainMap._trusted(free, x, _prefix_components(free, x))

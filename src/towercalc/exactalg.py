@@ -960,15 +960,19 @@ def is_exact_pair(f: GroupMap, g: GroupMap):
     return True, ""
 
 
+def difference_map(f: GroupMap, g: GroupMap) -> GroupMap:
+    """(f, -g): A + B -> C for f: A -> C and g: B -> C, well defined because
+    f and g are."""
+    if f.target != g.target:
+        raise IllFormedMap("the legs of a difference map must share a target")
+    return GroupMap._trusted(f.source.direct_sum(g.source), f.target, f.matrix.hstack(-g.matrix))
+
+
 def pullback_group(f: GroupMap, g: GroupMap):
     """Fiber product {(a, b) : f(a) = g(b)} with its two projections: the
-    kernel of the difference map (f, -g): A + B -> C, whose basis's two row
+    kernel of the `difference_map` (f, -g): A + B -> C, whose basis's two row
     blocks are the projections to A and B."""
-    if f.target != g.target:
-        raise IllFormedMap("pullback legs must share a target")
-    difference = GroupMap._trusted(f.source.direct_sum(g.source), f.target,
-                                   f.matrix.hstack(-g.matrix))
-    pres, basis = difference.kernel_data()
+    pres, basis = difference_map(f, g).kernel_data()
     split = f.source.generators
     p1 = GroupMap._trusted(pres, f.source, basis.take_rows(0, split))
     p2 = GroupMap._trusted(pres, g.source, basis.take_rows(split, basis.rows))

@@ -50,6 +50,7 @@ from .exactalg import (
     Presentation,
     block_diag,
     certified_primes,
+    difference_map,
     is_exact_pair,
     kernel_image_cokernel,
     prime_part,
@@ -129,9 +130,9 @@ def algebraic_fracture_check(a: FpAbelianGroup, p: PrimePartition) -> Certificat
     lam_j, lam_k = _localization(a, p.j), _localization(a, p.k)
     rho_j = _rationalization(lam_j.target, a.rank)
     rho_k = _rationalization(lam_k.target, a.rank)
-    left = GroupMap._trusted(lam_j.source, lam_j.target.direct_sum(lam_k.target),
-                             lam_j.matrix.vstack(lam_k.matrix))
-    right = GroupMap._trusted(left.target, rho_j.target, rho_j.matrix.hstack(-rho_k.matrix))
+    left = GroupMap(lam_j.source, lam_j.target.direct_sum(lam_k.target),
+                    lam_j.matrix.vstack(lam_k.matrix))
+    right = difference_map(rho_j, rho_k)
 
     exact_mid, reason = is_exact_pair(left, right)
     ses_cert = bundle("localization_sequence", [

@@ -1,16 +1,18 @@
 """Homotopy fibers of truncation.
 
 Factoring the quotient onto a truncation through an intermediate complex
-(identity plus one acyclic two-term block per target generator, the source
-of `complexes.disk_cover`) turns the fiber of the truncation into an honest
-degreewise kernel.  The checks here
+(X plus one acyclic two-term block per target generator, the source of
+`complexes.disk_cover`) turns the fiber of the truncation into an honest
+degreewise kernel; `complexes.disk_factorization` builds that factorization
+of any chain map.  The checks here
 certify that this kernel is the connective cover, that the comparison map
 into the factorization is a quasi-isomorphism, and that cutting one degree
 deeper leaves a single homology group — the layer.
 
-`hofib_factorization` is cached like the section it is built from
-(BUILD_CACHE_MAXSIZE entries; see `complexes`), so the counit and layer
-checks of one complex share each factorization.
+`hofib_factorization` memoizes the factorization of one truncation, like
+the section it is built from (BUILD_CACHE_MAXSIZE entries; see
+`complexes`), so the counit and layer checks of one complex share each
+factorization.
 """
 from __future__ import annotations
 
@@ -21,17 +23,15 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     cofibrant_replacement,
-    cotuple,
     degreewise_kernel,
-    direct_sum,
-    disk_cover,
+    disk_factorization,
     homology,
     homology_group,
     is_quasi_iso,
     zero_complex,
 )
 from .errors import NotCofibrant
-from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix
+from .exactalg import BUILD_CACHE_MAXSIZE
 from .sections import CospanSection, Tag
 from .trunc import connective_cover, is_Pn_weq, layer, postnikov_section
 
@@ -43,22 +43,15 @@ def _require_free(x: ChainComplex) -> None:
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def hofib_factorization(x: ChainComplex, k: int):
-    """(incl, proj): X -> X' -> P_kX.
+    """(incl, proj): X -> X' -> P_kX, the `disk_factorization` of the
+    quotient onto the k-section.
 
     incl is a split-injective quasi-isomorphism with free cokernel (the
     adjoined disks), proj is surjective in every degree because each target
     generator is covered by its own disk.
     """
     _require_free(x)
-    p, q = postnikov_section(x, k)
-    cover = disk_cover(p)
-    disks = cover.source
-    # x is the first summand of x + disks, built as one map
-    incl = ChainMap._trusted(x, direct_sum(x, disks), tuple(
-        IntegerMatrix.identity(g := x.pres_at(i).generators).vstack(
-            IntegerMatrix.zero(disks.pres_at(i).generators, g))
-        for i in x.span()))
-    return incl, cotuple(q, cover)
+    return disk_factorization(postnikov_section(x, k)[1])
 
 
 def build_hofib_section(x: ChainComplex, k: int) -> CospanSection:
@@ -73,8 +66,7 @@ def build_hofib_section(x: ChainComplex, k: int) -> CospanSection:
 def fibrant_adjustment(s: CospanSection) -> CospanSection:
     """Make both legs surjective without moving any vertex's homotopy type
     by summing one acyclic disk block per generator of the middle into each."""
-    cover = disk_cover(s.x0)
-    left, right = cotuple(s.left, cover), cotuple(s.right, cover)
+    left, right = disk_factorization(s.left)[1], disk_factorization(s.right)[1]
     return CospanSection(left.source, s.x0, right.source, left, right, tags=s.tags)
 
 

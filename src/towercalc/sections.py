@@ -36,13 +36,7 @@ from .complexes import (
     support,
 )
 from .errors import CharacterizationMismatch, IllFormedMap, InputError
-from .exactalg import (
-    GroupMap,
-    IntegerMatrix,
-    certified_primes,
-    column_basis,
-    solve_matrix,
-)
+from .exactalg import IntegerMatrix, certified_primes, column_basis, solve_matrix
 from .trunc import is_n_type, is_Pn_weq, postnikov_section
 
 # ---------------------------------------------------------------------------
@@ -124,6 +118,9 @@ class Section:
         if len(self.maps) != len(self.edges):
             raise IllFormedMap("one map per edge required")
         for e, ((s, t), f) in enumerate(zip(self.edges, self.maps)):
+            if not (0 <= s < len(self.vertices) and 0 <= t < len(self.vertices)):
+                raise IllFormedMap(f"edge {e} ({s}, {t}) has an endpoint outside the "
+                                   f"{len(self.vertices)} vertices")
             if f.source != self.vertices[s] or f.target != self.vertices[t]:
                 raise IllFormedMap(f"map {e} does not go from vertex {s} to vertex {t}")
         if len(self.tags) != len(self.vertices):
@@ -217,11 +214,6 @@ def constant_tower(x: ChainComplex, m: int) -> TowerSection:
 # componentwise classification
 
 
-def _degree_map(f: ChainMap, i: int) -> GroupMap:
-    """Degree i of f, well defined because f is."""
-    return GroupMap._trusted(f.source.pres_at(i), f.target.pres_at(i), f.component_at(i))
-
-
 def classify_injective(phi: SectionMorphism) -> Certificate:
     """Componentwise weak-equivalence and cofibration verdicts, bundled; the
     witness records both flags and, per failed class, the first bad spot."""
@@ -236,7 +228,7 @@ def classify_injective(phi: SectionMorphism) -> Certificate:
     for lvl, f in enumerate(phi.components):
         bad = None
         for i in support(f.source, f.target):
-            gm = _degree_map(f, i)
+            gm = f.group_map(i)
             if not gm.is_injective():
                 bad = (i, "component is not injective")
                 break
@@ -257,7 +249,7 @@ def classify_injective(phi: SectionMorphism) -> Certificate:
 
 def surjective_in_positive_degrees(f: ChainMap, label: str) -> Certificate:
     for i in range(max(f.target.min_deg, 1), f.target.top_deg + 1):
-        if not _degree_map(f, i).is_surjective():
+        if not f.group_map(i).is_surjective():
             return failed("fibration", spot=label, degree=i)
     return passed("fibration", spot=label)
 
@@ -382,15 +374,14 @@ def free_postnikov_tower(x: ChainComplex, m: int):
     above n.  m is checked as for `postnikov_tower`.
     """
     base = postnikov_tower(x, m)
-    free, q = cofibrant_replacement(x)
+    free, _ = cofibrant_replacement(x)
     levels = [cofibrant_replacement(postnikov_section(free, n)[0])[0] for n in range(m + 1)]
 
     maps = []
     for n in range(m):
         upper, lower = levels[n + 1], levels[n]
         if n >= free.top_deg or n < free.min_deg:  # no cap: lower is free or zero
-            maps.append(ChainMap.identity(lower) if upper == lower
-                        else ChainMap.zero_map(upper, lower))
+            maps.append(ChainMap.prefix(upper, lower))
             continue
         cap = column_basis(free.diff_at(n + 1))
         comps = []
@@ -406,17 +397,5 @@ def free_postnikov_tower(x: ChainComplex, m: int):
         maps.append(ChainMap(upper, lower, tuple(comps)))
 
     tower = TowerSection(tuple(levels), tuple(maps))
-
-    comparisons = []
-    for n in range(m + 1):
-        lvl = levels[n]
-        target = base.level(n)
-        comps = []
-        for i in lvl.span():
-            if i <= n:
-                comps.append(q.component_at(i))
-            else:
-                comps.append(IntegerMatrix.zero(target.pres_at(i).generators,
-                                                lvl.pres_at(i).generators))
-        comparisons.append(ChainMap(lvl, target, tuple(comps)))
+    comparisons = (ChainMap.prefix(lvl, base.level(n)) for n, lvl in enumerate(levels))
     return tower, SectionMorphism(tower, base, tuple(comparisons))

@@ -1,11 +1,13 @@
 """Good truncation from above and below, and the fiber sequence between them.
 
 ``postnikov_section(X, n)`` kills homology above n by quotienting degree n by
-the incoming boundaries; ``connective_cover(X, k)`` kills homology at or
+the incoming boundaries: it is `complexes.truncation`, memoized here (see
+"Caches" in `complexes`).  ``connective_cover(X, k)`` kills homology at or
 below k: it is the `subcomplex` of X on the cycles in degree k+1 and all of
 X above, with nothing at or below k.  The two fit into a
 degreewise short exact sequence whose long exact homology sequence is checked
-spot by spot, not assumed.
+spot by spot, not assumed.  Both are built by `complexes`, so this module
+lays out no complex and builds nothing unchecked.
 """
 from __future__ import annotations
 
@@ -22,26 +24,17 @@ from .complexes import (
     les_certificate,
     subcomplex,
     support,
-    zero_complex,
+    truncation,
 )
-from .exactalg import BUILD_CACHE_MAXSIZE, IntegerMatrix, preimage_lattice
+from .exactalg import BUILD_CACHE_MAXSIZE, preimage_lattice
 
 
 @lru_cache(maxsize=BUILD_CACHE_MAXSIZE)
 def postnikov_section(x: ChainComplex, n: int):
-    """(P, q): degrees above n dropped, degree n quotiented by boundaries,
-    q the degreewise quotient map.  H_i(P) = H_i(X) for i <= n, zero above."""
-    if x.is_zero or n < x.min_deg:
-        p = zero_complex()
-        return p, ChainMap.zero_map(x, p)
-    cut = min(n, x.top_deg)
-    degs = x.degrees[: cut - x.min_deg] + (x.pres_at(cut).quotient(x.diff_at(cut + 1)),)
-    p = ChainComplex._trusted(x.min_deg, degs, x.differentials[: cut - x.min_deg])
-    comps = []
-    for i in x.span():
-        g = x.pres_at(i).generators
-        comps.append(IntegerMatrix.identity(g) if i <= cut else IntegerMatrix.zero(0, g))
-    return p, ChainMap._trusted(x, p, tuple(comps))
+    """(P, q) = `complexes.truncation(x, n)`: degrees above n dropped, degree
+    n quotiented by boundaries, q the degreewise quotient map.  H_i(P) =
+    H_i(X) for i <= n, zero above."""
+    return truncation(x, n)
 
 
 def is_n_type(x: ChainComplex, n: int) -> Certificate:
@@ -95,13 +88,7 @@ def fiber_sequence_check(x: ChainComplex, k: int) -> Certificate:
                  else failed("composite_vanishes"))
 
     quo, qq = cokernel_complex(j)
-    comps = []
-    for i in quo.span():
-        g = quo.pres_at(i).generators
-        comps.append(IntegerMatrix.identity(g) if i <= k
-                     else IntegerMatrix.zero(section.pres_at(i).generators, g))
-    natural = ChainMap(quo, section, tuple(comps))
-    compare = is_quasi_iso(natural)
+    compare = is_quasi_iso(ChainMap.prefix(quo, section))
     compare_cert = (passed("quotient_matches_section") if compare.passed
                     else failed("quotient_matches_section", **compare.witness))
 

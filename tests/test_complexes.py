@@ -23,6 +23,7 @@ from towercalc.complexes import (
     ChainComplex,
     ChainMap,
     HomologyProfile,
+    chain_maps_agree,
     cofibrant_replacement,
     cokernel_complex,
     connecting_map,
@@ -32,6 +33,7 @@ from towercalc.complexes import (
     direct_sum_map,
     disk_complex,
     disk_cover,
+    disk_factorization,
     hom_complex,
     homology,
     homology_data,
@@ -449,10 +451,13 @@ def test_disk_cover_is_onto_from_free_acyclic_disks(pieces):
     """At every cut, from below the complex's degrees to above them, the
     cover of the section is onto in every degree from a degreewise-free
     acyclic sum of disks, and the homotopy-fiber factorization includes X as
-    the first summand of X plus those disks."""
+    the first summand of X plus those disks.  The disk factorization of the
+    quotient onto the section, of the section's free replacement and of the
+    zero map into the section composes back to the map, through an inclusion
+    that is a quasi-isomorphism and a projection onto in every degree."""
     x = free_sum(pieces)
     for k in range(x.min_deg - 1, x.top_deg + 2):
-        p, _ = postnikov_section(x, k)
+        p, q = postnikov_section(x, k)
         cover = disk_cover(p)
         disks = cover.source
         assert disks.is_degreewise_free and homology(disks) == homology(zero_complex())
@@ -460,6 +465,11 @@ def test_disk_cover_is_onto_from_free_acyclic_disks(pieces):
             assert GroupMap(disks.pres_at(i), p.pres_at(i), cover.component_at(i)).is_surjective()
         assert hofib_factorization(x, k)[0] == direct_sum_map(
             ChainMap.identity(x), ChainMap.zero_map(zero_complex(), disks))
+        for f in (q, cofibrant_replacement(p)[1], ChainMap.zero_map(x, p)):
+            incl, proj = disk_factorization(f)
+            assert chain_maps_agree(proj.compose(incl), f)
+            assert is_quasi_iso(incl).passed
+            assert all(proj.group_map(i).is_surjective() for i in support(proj.source, p))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from towercalc.exactalg import PRIME_CERTIFY_BOUND, FpAbelianGroup, IntegerMatri
 from towercalc.sections import (
     MAX_TOWER_LENGTH,
     CospanSection,
+    Section,
     SectionMorphism,
     Tag,
     TowerSection,
@@ -97,6 +98,15 @@ def test_cospan_checks_leg_endpoints():
     s = sphere_complex(0)
     with pytest.raises(IllFormedMap):
         CospanSection(s, s, sphere_complex(1), ChainMap.identity(s), ChainMap.identity(s))
+
+
+def test_section_rejects_edges_to_vertices_it_does_not_have():
+    """On one vertex, an edge to vertex 1 or to vertex -1 names no vertex;
+    neither may index past the end or wrap around to the last vertex."""
+    s = sphere_complex(0)
+    for edge in ((0, 1), (0, -1)):
+        with pytest.raises(IllFormedMap, match=rf"edge 0 \({edge[0]}, {edge[1]}\)"):
+            Section((s,), (edge,), (ChainMap.identity(s),), (Tag(),))
 
 
 def test_morphism_squares_must_commute():

@@ -73,6 +73,14 @@ def test_unrouted_trusted_builds_skip_only_the_lattice_checks():
 
 
 @pytest.mark.trusted_builds
+def test_a_prefix_map_is_checked():
+    """Z[1] into the disk on degrees 1, 0 by generator 1 to generator 1: the
+    square at degree 1 does not commute, and the public builder says so."""
+    with pytest.raises(IllFormedMap, match="square at degree 1 does not commute"):
+        ChainMap.prefix(sphere_complex(1), disk_complex(1))
+
+
+@pytest.mark.trusted_builds
 def test_a_connecting_map_off_a_short_exact_pair_is_rejected():
     """j: Z[0] -> disk and q: disk -> Z/2[1] compose to zero, but in degree 1
     ker q = 2Z is not im j = 0.  The snake map sends the relation 2 of
